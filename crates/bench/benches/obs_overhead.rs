@@ -14,9 +14,12 @@
 //! * `tracer` — `run_with(&mut Tracer)`, full record construction into
 //!   the bounded ring buffer.
 //!
+//! Every case builds the router the way production does: a boxed
+//! policy and scheduler, and `SourceKind` sources from
+//! `build_source_kind`.
+//!
 //! The exported `noop_over_baseline` ratio is the acceptance number:
-//! it must stay within 2% of 1.0 (`BENCH_obs.json`, checked in CI
-//! spirit — the artifact is committed alongside `BENCH_dispatch.json`).
+//! it must stay within 2% of 1.0 (`BENCH_obs.json`).
 //!
 //! A hand-written `main` (instead of `criterion_main!`) exports the
 //! measurements to `BENCH_obs.json` next to the workspace root.
@@ -27,26 +30,39 @@ use qbm_core::units::{ByteSize, Time};
 use qbm_obs::{CountingObserver, NullObserver, Observer, Tracer};
 use qbm_sched::Fifo;
 use qbm_sim::scenarios::{paper_experiment, section3_schemes};
-use qbm_sim::{Router, SimResult};
-use qbm_traffic::{build_source, Source};
+use qbm_sim::{ExperimentConfig, Router, SimResult};
+use qbm_traffic::build_source_kind;
 
 /// Simulated time per iteration; long enough for thousands of packets.
 const SIM_END_MS: u64 = 500;
 
-/// Build the monomorphized Table-1 router and run it to [`SIM_END_MS`]
-/// with the given observer — one bench iteration.
-fn run_table1<O: Observer>(cfg: &qbm_sim::ExperimentConfig, obs: &mut O) -> SimResult {
-    let seed = 1u64;
-    let end = Time::from_secs_f64(SIM_END_MS as f64 / 1e3);
+/// The Table-1 fifo+thresh router, built as production builds it.
+fn table1_router(cfg: &ExperimentConfig, seed: u64) -> Router {
     let policy = FixedThreshold::new(
         cfg.buffer_bytes,
         cfg.link_rate,
         &cfg.specs,
         ThresholdOptions::default(),
     );
-    let sources: Vec<Box<dyn Source>> = cfg.specs.iter().map(|s| build_source(s, seed)).collect();
-    let router = Router::new(cfg.link_rate, policy, Fifo::new(), sources);
-    router.run_with(Time::ZERO, end, seed, obs)
+    let sources = cfg
+        .specs
+        .iter()
+        .map(|s| build_source_kind(s, seed))
+        .collect();
+    Router::new(
+        cfg.link_rate,
+        Box::new(policy),
+        Box::new(Fifo::new()),
+        sources,
+    )
+}
+
+/// Run the Table-1 router to [`SIM_END_MS`] with the given observer —
+/// one bench iteration.
+fn run_table1<O: Observer>(cfg: &ExperimentConfig, obs: &mut O) -> SimResult {
+    let seed = 1u64;
+    let end = Time::from_secs_f64(SIM_END_MS as f64 / 1e3);
+    table1_router(cfg, seed).run_with(Time::ZERO, end, seed, obs)
 }
 
 fn bench_obs(c: &mut Criterion) {
@@ -64,20 +80,8 @@ fn bench_obs(c: &mut Criterion) {
     let seed = 1u64;
 
     g.bench_with_input(BenchmarkId::new("table1", "baseline"), &cfg, |b, cfg| {
-        b.iter(|| {
-            // The plain entry point, exactly as dispatch_overhead's
-            // "mono" case ran before the observer hooks existed.
-            let policy = FixedThreshold::new(
-                cfg.buffer_bytes,
-                cfg.link_rate,
-                &cfg.specs,
-                ThresholdOptions::default(),
-            );
-            let sources: Vec<Box<dyn Source>> =
-                cfg.specs.iter().map(|s| build_source(s, seed)).collect();
-            let router = Router::new(cfg.link_rate, policy, Fifo::new(), sources);
-            black_box(router.run(Time::ZERO, end, seed))
-        });
+        // The plain entry point, without any observer argument.
+        b.iter(|| black_box(table1_router(cfg, seed).run(Time::ZERO, end, seed)));
     });
 
     g.bench_with_input(BenchmarkId::new("table1", "noop"), &cfg, |b, cfg| {

@@ -93,6 +93,15 @@ impl FlowDraft {
             line,
             message: "flow needs `bucket = <size>`".into(),
         })?;
+        // `FlowSpec::build` asserts this; reject it here instead. An
+        // unset (or zero) average defaults to the reserved rate.
+        let avg = self.avg.filter(|a| *a > Rate::ZERO).unwrap_or(rate);
+        if let Some(peak) = self.peak.filter(|p| *p > Rate::ZERO && *p < avg) {
+            return Err(ScenarioError::BadLine {
+                line,
+                message: format!("flow peak {peak} below its average {avg}"),
+            });
+        }
         let mut out = Vec::with_capacity(self.count as usize);
         for _ in 0..self.count {
             let id = FlowId(*next_id);
@@ -196,7 +205,16 @@ impl Scenario {
                 continue;
             }
             match key.as_str() {
-                "link" => link = Some(parse_rate(value).map_err(unit_err)?),
+                "link" => {
+                    let rate = parse_rate(value).map_err(unit_err)?;
+                    if rate == Rate::ZERO {
+                        return Err(ScenarioError::BadLine {
+                            line: line_no,
+                            message: "link rate must be positive".into(),
+                        });
+                    }
+                    link = Some(rate);
+                }
                 "buffer" => buffer = Some(parse_size(value).map_err(unit_err)?),
                 "duration" => duration = parse_duration(value).map_err(unit_err)?,
                 "warmup" => warmup = parse_duration(value).map_err(unit_err)?,
@@ -408,13 +426,24 @@ class = aggressive
             ScenarioError::BadUnit { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other}"),
         }
-        let bad2 = "link = 10Mbps\nbuffer = 1MiB\nwhatever = 3\n";
-        match Scenario::parse(bad2).unwrap_err() {
-            ScenarioError::BadLine { line, message } => {
-                assert_eq!(line, 3);
-                assert!(message.contains("whatever"));
+        for (bad, at, word) in [
+            ("link = 10Mbps\nbuffer = 1MiB\nwhatever = 3\n", 3, "whatever"),
+            // Inputs that must fail the parse, not panic later in
+            // `FlowSpec::build` or, at run time, in `Router::new`.
+            (
+                "link = 10Mbps\nbuffer = 1MiB\n[flow]\nrate = 1Mbps\nbucket = 10KiB\npeak = 1Mbps\navg = 2Mbps\n",
+                3,
+                "peak",
+            ),
+            ("buffer = 1MiB\nlink = 0bps\n", 2, "link"),
+        ] {
+            match Scenario::parse(bad).unwrap_err() {
+                ScenarioError::BadLine { line, message } => {
+                    assert_eq!(line, at, "{bad}");
+                    assert!(message.contains(word), "{message}");
+                }
+                other => panic!("unexpected error {other}"),
             }
-            other => panic!("unexpected error {other}"),
         }
     }
 

@@ -113,8 +113,8 @@ mod tests {
 /// Output burstiness of a flow after traversing a node with worst-case
 /// delay `d` — the network-calculus composition rule `σ_out = σ + ρ·d`.
 ///
-/// This is what makes multi-hop planning (the `qbm-sim::tandem`
-/// extension) conservative: hop `i+1` should be provisioned for the
+/// This is what makes multi-hop planning (the `qbm-sim` tandem-line
+/// extension, `scenarios::tandem_line`) conservative: hop `i+1` should be provisioned for the
 /// *inflated* burst, since a node can release up to `ρ·d` extra bytes
 /// back-to-back after holding the flow for `d`.
 pub fn output_burstiness_bytes(sigma_bytes: f64, rho: Rate, d: Dur) -> f64 {

@@ -102,43 +102,6 @@ pub trait BufferPolicy: Send {
     }
 }
 
-/// Boxed policies forward to their contents, so both `Box<dyn
-/// BufferPolicy>` (existing call sites) and `Box<Concrete>` satisfy the
-/// `P: BufferPolicy` bound of the monomorphized simulator.
-impl<P: BufferPolicy + ?Sized> BufferPolicy for Box<P> {
-    fn admit(&mut self, flow: FlowId, len: u32) -> Verdict {
-        (**self).admit(flow, len)
-    }
-
-    fn release(&mut self, flow: FlowId, len: u32) {
-        (**self).release(flow, len)
-    }
-
-    fn flow_occupancy(&self, flow: FlowId) -> u64 {
-        (**self).flow_occupancy(flow)
-    }
-
-    fn total_occupancy(&self) -> u64 {
-        (**self).total_occupancy()
-    }
-
-    fn capacity(&self) -> u64 {
-        (**self).capacity()
-    }
-
-    fn threshold(&self, flow: FlowId) -> Option<u64> {
-        (**self).threshold(flow)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn sharing_state(&self) -> Option<(u64, u64)> {
-        (**self).sharing_state()
-    }
-}
-
 /// Declarative policy selector used by experiment configurations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyKind {

@@ -472,9 +472,11 @@ pub fn analyze_workspace(files: &[(String, String)], refs: &RefSet) -> FileScan 
 fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut FileScan) {
     if let Some(suite) = refs.suite.as_deref() {
         let differential = refs.differential.as_deref();
-        for im in ws.impls.iter().filter(|im| {
-            im.trait_name.as_deref() == Some("Scheduler") && !im.in_test && im.type_name != "Box"
-        }) {
+        for im in ws
+            .impls
+            .iter()
+            .filter(|im| im.trait_name.as_deref() == Some("Scheduler") && !im.in_test)
+        {
             let is_reference = im.type_name.ends_with("Reference");
             let (hay, home) = if is_reference {
                 // Float baselines live in the differential tests, not
@@ -586,7 +588,6 @@ fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut FileScan) {
         for im in ws.impls.iter().filter(|im| {
             im.trait_name.as_deref() == Some("Source")
                 && !im.in_test
-                && im.type_name != "Box"
                 && im.type_name != "SourceKind"
         }) {
             if !rules::find_word(&kind_code, &im.type_name) {

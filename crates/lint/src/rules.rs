@@ -150,7 +150,7 @@ pub const EXHAUSTIVE_SCHED_HINT: &str =
 pub const EXHAUSTIVE_SOURCE: &str = "exhaustive-source";
 /// Hint for [`EXHAUSTIVE_SOURCE`].
 pub const EXHAUSTIVE_SOURCE_HINT: &str =
-    "wire the variant/type through crates/traffic/src/kind.rs — a wildcard arm or missing variant silently demotes it to dyn dispatch or drops it";
+    "wire the variant/type through crates/traffic/src/kind.rs — a wildcard arm silently drops it, and a type outside the enum cannot reach the simulator";
 
 /// Rule name: a `PolicyKind` variant missing from the equivalence
 /// suite.
@@ -173,7 +173,7 @@ pub const ROOT_DRIFT_HINT: &str =
 
 /// Where the transitive hot-path audits start: the event-loop drivers,
 /// the link engine, the fabric's level advance and mailbox exchange,
-/// the tandem shim, every scheduler's enqueue/dequeue, the
+/// every scheduler's enqueue/dequeue, the
 /// streaming-telemetry update paths (sketch/heatmap `record`, called
 /// per event when sketches are attached), the tournament-tree
 /// `replay` inside [`ActiveSet`] (per tag update at tree layouts),
@@ -538,7 +538,7 @@ pub const REGISTRY: &[RuleMeta] = &[
     RuleMeta {
         id: EXHAUSTIVE_SOURCE,
         scope: "workspace cross-check",
-        rationale: "a SourceKind variant missing from next_emission or on_feedback (wildcard arm) silently emits nothing or ignores its control loop; a variant absent from tests/determinism.rs has no pinned behavior; a Source impl outside the enum silently pays dyn dispatch",
+        rationale: "a SourceKind variant missing from next_emission or on_feedback (wildcard arm) silently emits nothing or ignores its control loop; a variant absent from tests/determinism.rs has no pinned behavior; a Source impl outside the enum cannot feed a router",
         hint: EXHAUSTIVE_SOURCE_HINT,
         pragma: "none (hard error)",
     },

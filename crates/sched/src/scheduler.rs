@@ -55,31 +55,6 @@ pub trait Scheduler: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Boxed schedulers forward to their contents, so both `Box<dyn
-/// Scheduler>` (existing call sites) and `Box<Concrete>` satisfy the
-/// `S: Scheduler` bound of the monomorphized simulator.
-impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
-    fn enqueue(&mut self, now: Time, pkt: PacketRef) {
-        (**self).enqueue(now, pkt)
-    }
-
-    fn dequeue(&mut self, now: Time) -> Option<PacketRef> {
-        (**self).dequeue(now)
-    }
-
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn is_empty(&self) -> bool {
-        (**self).is_empty()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;

@@ -6,9 +6,11 @@
 //! [`SimArena`] keeps those buffers alive between cells: a cell checks
 //! them out (cleared, capacity intact), runs, and stows them back.
 //! One arena belongs to exactly one worker thread — arenas are never
-//! shared, so pooling cannot perturb results. The determinism suite
-//! asserts pooled campaigns stay byte-identical to fresh-allocation
-//! runs at 1 and 8 threads.
+//! shared, so pooling cannot perturb results. It is the only way an
+//! [`ExperimentConfig`](crate::ExperimentConfig) run is built: a
+//! standalone `run_once` simply draws from a fresh arena. The
+//! determinism suite asserts pooled campaigns stay byte-identical to
+//! standalone runs at 1 and 8 threads.
 //!
 //! Out of scope: the statistics vectors. [`SimResult`] *is* the
 //! returned value — its `flows`/histogram storage leaves the cell with
@@ -24,13 +26,13 @@ use qbm_traffic::SourceKind;
 /// Reusable simulation buffers for one campaign worker.
 ///
 /// Construct once per worker ([`SimArena::new`] / `Default`), then pass
-/// to [`ExperimentConfig::run_once_pooled`] for every cell the worker
-/// executes. A fresh arena is always valid — the first checkout simply
-/// allocates.
-///
-/// [`ExperimentConfig::run_once_pooled`]: crate::ExperimentConfig::run_once_pooled
+/// to `ExperimentConfig::run_once_pooled_with` for every cell the
+/// worker executes. A fresh arena is always valid — the first checkout
+/// simply allocates, which is how a standalone
+/// [`ExperimentConfig::run_once`](crate::ExperimentConfig::run_once)
+/// runs.
 #[derive(Debug, Default)]
-pub struct SimArena {
+pub(crate) struct SimArena {
     /// Spent source slots (cleared on checkout; the `Vec` header and
     /// capacity survive, the per-source state does not).
     sources: Vec<SourceKind>,
@@ -46,7 +48,7 @@ pub struct SimArena {
 
 impl SimArena {
     /// An empty arena; buffers materialize on first use.
-    pub fn new() -> SimArena {
+    pub(crate) fn new() -> SimArena {
         SimArena::default()
     }
 

@@ -21,7 +21,7 @@ use qbm_core::flow::FlowSpec;
 use qbm_core::policy::{BufferPolicy, BufferSharing, FixedThreshold, PolicyKind};
 use qbm_core::units::{Dur, Rate, Time};
 use qbm_obs::{NullObserver, Observer};
-use qbm_sched::SchedKind;
+use qbm_sched::{SchedKind, Scheduler};
 use qbm_traffic::{build_source_kind_with_sojourns, AimdConfig, AimdSource, Sojourns, SourceKind};
 use rand::SplitMix64;
 
@@ -102,7 +102,7 @@ pub struct ExperimentConfig {
     pub link_rate: Rate,
     /// Total buffer, bytes.
     pub buffer_bytes: u64,
-    /// Flow set (sources are built per [`qbm_traffic::build_source`]).
+    /// Flow set (sources are built per [`qbm_traffic::build_source_kind`]).
     pub specs: Vec<FlowSpec>,
     /// Scheduler.
     pub sched: SchedKind,
@@ -148,27 +148,16 @@ impl ExperimentConfig {
     /// loop (see [`qbm_obs::Observer`]). `run_once` is this with
     /// [`NullObserver`], which monomorphizes the hooks away.
     pub fn run_once_with<O: Observer>(&self, seed: u64, obs: &mut O) -> SimResult {
-        let policy = self
-            .policy
-            .build(self.buffer_bytes, self.link_rate, &self.specs);
-        let sched = self.sched.build(self.link_rate, &self.specs);
-        let sources = self.build_sources(seed);
-        let router = Router::new(self.link_rate, policy, sched, sources).with_stats(self.stats);
-        router.run_with(
-            Time::ZERO + self.warmup,
-            Time::ZERO + self.duration,
-            seed,
-            obs,
-        )
+        self.run_once_pooled_with(seed, obs, &mut SimArena::new())
     }
 
     /// [`ExperimentConfig::run_once_with`] drawing its per-flow lanes
-    /// and event core from `arena` instead of allocating them — the
-    /// campaign runner calls this so a worker's cells share one set of
-    /// buffers. Byte-identical to `run_once_with` (the determinism
-    /// suite asserts it); the arena only recycles allocations, never
-    /// state.
-    pub fn run_once_pooled_with<O: Observer>(
+    /// and event core from `arena` — the campaign runner calls this so
+    /// a worker's cells share one set of buffers. The arena only
+    /// recycles allocations, never state, so results do not depend on
+    /// what ran before (the determinism suite asserts pooled campaigns
+    /// match fresh runs).
+    pub(crate) fn run_once_pooled_with<O: Observer>(
         &self,
         seed: u64,
         obs: &mut O,
@@ -182,7 +171,7 @@ impl ExperimentConfig {
         lanes.sources.extend(self.build_sources(seed));
         let router =
             Router::from_lanes(self.link_rate, policy, sched, lanes).with_stats(self.stats);
-        let (res, lanes, timers) = router.run_pooled(
+        let (res, lanes, timers) = router.run_inner(
             Time::ZERO + self.warmup,
             Time::ZERO + self.duration,
             seed,
@@ -191,11 +180,6 @@ impl ExperimentConfig {
         );
         arena.stow(lanes, timers);
         res
-    }
-
-    /// [`ExperimentConfig::run_once_pooled_with`] without an observer.
-    pub fn run_once_pooled(&self, seed: u64, arena: &mut SimArena) -> SimResult {
-        self.run_once_pooled_with(seed, &mut NullObserver, arena)
     }
 
     /// [`ExperimentConfig::run_once`] with the scheduler swapped for
@@ -207,43 +191,36 @@ impl ExperimentConfig {
     /// scheduler × policy combination; the `sched_throughput` benchmark
     /// uses it as the before-side of the fixed-point speedup.
     pub fn run_once_sched_reference(&self, seed: u64) -> SimResult {
-        let policy = self
-            .policy
-            .build(self.buffer_bytes, self.link_rate, &self.specs);
         let sched = self.sched.build_reference(self.link_rate, &self.specs);
-        let sources = self.build_sources(seed);
-        let router = Router::new(self.link_rate, policy, sched, sources).with_stats(self.stats);
-        router.run(Time::ZERO + self.warmup, Time::ZERO + self.duration, seed)
+        self.router(seed, sched)
+            .run(Time::ZERO + self.warmup, Time::ZERO + self.duration, seed)
     }
 
-    /// [`ExperimentConfig::run_once`] on the pre-overhaul execution
-    /// path: boxed `dyn Source` dispatch and the reference binary-heap
-    /// event core instead of enum sources over [`IndexedTimers`]
-    /// (see [`crate::event`]). Must produce byte-identical results to
-    /// `run_once` — the determinism suite asserts it — and serves as
-    /// the baseline side of the `sim_throughput` benchmark.
+    /// [`ExperimentConfig::run_once`] on the reference binary-heap
+    /// event core ([`crate::event::EventQueue`]) instead of
+    /// [`IndexedTimers`]: same sources, policy and scheduler. Must
+    /// produce byte-identical results to `run_once` — the determinism
+    /// suite asserts it — and serves as the baseline side of the
+    /// `sim_throughput` benchmark.
     ///
     /// [`IndexedTimers`]: crate::event::IndexedTimers
     pub fn run_once_reference(&self, seed: u64) -> SimResult {
+        let sched = self.sched.build(self.link_rate, &self.specs);
+        self.router(seed, sched).run_reference(
+            Time::ZERO + self.warmup,
+            Time::ZERO + self.duration,
+            seed,
+        )
+    }
+
+    /// A freshly allocated router for one seed over `sched`, with this
+    /// configuration's policy, sources and statistics — the oracle
+    /// runs' construction (production runs draw from an arena).
+    fn router(&self, seed: u64, sched: Box<dyn Scheduler>) -> Router {
         let policy = self
             .policy
             .build(self.buffer_bytes, self.link_rate, &self.specs);
-        let sched = self.sched.build(self.link_rate, &self.specs);
-        let sources: Vec<Box<dyn qbm_traffic::Source>> = self
-            .specs
-            .iter()
-            .map(|s| match self.sources {
-                SourceSel::Spec => qbm_traffic::build_source_with_sojourns(s, seed, self.sojourns),
-                SourceSel::Aimd => Box::new(AimdSource::new(AimdConfig {
-                    start: Time::ZERO + Dur::from_micros(s.id.index() as u64),
-                    pace: Some(s.peak),
-                    ..AimdConfig::default()
-                })) as Box<dyn qbm_traffic::Source>,
-            })
-            .collect();
-        Router::new(self.link_rate, policy, sched, sources)
-            .with_stats(self.stats)
-            .run_reference(Time::ZERO + self.warmup, Time::ZERO + self.duration, seed)
+        Router::new(self.link_rate, policy, sched, self.build_sources(seed)).with_stats(self.stats)
     }
 
     /// Run `n_seeds` independent replications in parallel (the paper

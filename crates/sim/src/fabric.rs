@@ -5,17 +5,16 @@
 //! policy × scheduler × output link, with its own event core) plus
 //! directed edges `(src_link, src_flow) → (dst_link, dst_flow)` along
 //! which packets are relayed: a destination flow replays the source
-//! flow's recorded departures, the same exact store-and-forward
-//! semantics the tandem line has always used (a feed-forward hop
-//! cannot influence its upstream, so replay is not an approximation).
+//! flow's recorded departures — exact store-and-forward semantics (a
+//! feed-forward hop cannot influence its upstream, so replay is not an
+//! approximation).
 //!
 //! # Epoch/mailbox execution
 //!
 //! Running every upstream link to completion before its downstream
-//! starts (the historical tandem strategy) holds the whole trace of a
-//! link in memory and serializes the topology. The fabric instead
-//! advances in bounded **epochs**: with horizon `H` stepping by the
-//! epoch length Δ,
+//! starts holds the whole trace of a link in memory and serializes the
+//! topology. The fabric instead advances in bounded **epochs**: with
+//! horizon `H` stepping by the epoch length Δ,
 //!
 //! 1. links are advanced one topological *level* at a time — every
 //!    link in a level processes exactly its events with time `< H`
@@ -46,10 +45,8 @@ use crate::event::{EventCore, IndexedTimers};
 use crate::router::{FeedbackMode, LinkEngine, Router};
 use crate::stats::SimResult;
 use qbm_core::flow::FlowId;
-use qbm_core::policy::BufferPolicy;
 use qbm_core::units::{Dur, Time};
 use qbm_obs::{NullObserver, Observer};
-use qbm_sched::Scheduler;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Default epoch length: 1 s of simulation time. Long enough that
@@ -70,17 +67,11 @@ struct Edge {
 
 /// A DAG of links with deterministic epoch-synchronized execution.
 ///
-/// Build with [`Fabric::add_link`] / [`Fabric::connect`], run with
-/// [`Fabric::run`] or [`Fabric::run_observed`]. Generic over policy
-/// and scheduler exactly like [`Router`] (all links share the
-/// concrete types; the boxed defaults keep heterogeneous
-/// configurations available).
-pub struct Fabric<P = Box<dyn BufferPolicy>, S = Box<dyn Scheduler>>
-where
-    P: BufferPolicy,
-    S: Scheduler,
-{
-    links: Vec<Router<P, S>>,
+/// Build with [`Fabric::add_link`] / [`Fabric::connect`] (or one of
+/// the `scenarios` topology builders), run with [`Fabric::run`] or
+/// [`Fabric::run_observed`].
+pub struct Fabric {
+    links: Vec<Router>,
     edges: Vec<Edge>,
     /// Wired edge endpoints, for O(log E) duplicate detection in
     /// [`Fabric::connect`] — the linear scan it replaces made wiring a
@@ -90,23 +81,15 @@ where
     epoch: Dur,
 }
 
-impl<P, S> Default for Fabric<P, S>
-where
-    P: BufferPolicy,
-    S: Scheduler,
-{
+impl Default for Fabric {
     fn default() -> Self {
         Fabric::new()
     }
 }
 
-impl<P, S> Fabric<P, S>
-where
-    P: BufferPolicy,
-    S: Scheduler,
-{
+impl Fabric {
     /// An empty fabric with the [`DEFAULT_EPOCH`] exchange horizon.
-    pub fn new() -> Fabric<P, S> {
+    pub fn new() -> Fabric {
         Fabric {
             links: Vec::new(),
             edges: Vec::new(),
@@ -119,7 +102,7 @@ where
     /// Override the epoch (mailbox-exchange horizon) length. Results
     /// are independent of the choice; only memory held in mailboxes
     /// and barrier frequency change.
-    pub fn with_epoch(mut self, epoch: Dur) -> Fabric<P, S> {
+    pub fn with_epoch(mut self, epoch: Dur) -> Fabric {
         assert!(epoch > Dur::ZERO, "zero fabric epoch");
         self.epoch = epoch;
         self
@@ -128,7 +111,7 @@ where
     /// Add a link; returns its index. Link indices are the
     /// deterministic identity everywhere: edge drain order, observer
     /// association, result order, the `link` field on trace records.
-    pub fn add_link(&mut self, router: Router<P, S>) -> u32 {
+    pub fn add_link(&mut self, router: Router) -> u32 {
         self.links.push(router);
         (self.links.len() - 1) as u32
     }
@@ -324,8 +307,8 @@ where
 
         // Wrap each router in a paused engine, permuted into level
         // order. Only links that feed an edge record departures.
-        let mut routers: Vec<Option<Router<P, S>>> = self.links.into_iter().map(Some).collect();
-        let mut engines: Vec<LinkEngine<P, S, IndexedTimers>> = order
+        let mut routers: Vec<Option<Router>> = self.links.into_iter().map(Some).collect();
+        let mut engines: Vec<LinkEngine> = order
             .iter()
             .map(|&link| {
                 let router = routers[link].take().expect("each link wrapped once");
@@ -396,7 +379,7 @@ where
         // Close the runs and un-permute into link-index order.
         let mut results: Vec<Option<SimResult>> = (0..n).map(|_| None).collect();
         for ((pos, engine), o) in engines.into_iter().enumerate().zip(obs) {
-            let (res, _traces, _lanes, _events) = engine.finish(o);
+            let (res, _lanes, _events) = engine.finish(o);
             results[order[pos]] = Some(res);
         }
         results
@@ -410,16 +393,12 @@ where
 /// sharding the level across up to `threads` scoped threads. Chunking
 /// is by position only — engines share nothing, so the split affects
 /// wall-clock, never results.
-fn advance_level<P, S, O>(
-    engines: &mut [LinkEngine<P, S, IndexedTimers>],
+fn advance_level<O: Observer + Send>(
+    engines: &mut [LinkEngine],
     obs: &mut [&mut O],
     horizon: Time,
     threads: usize,
-) where
-    P: BufferPolicy,
-    S: Scheduler,
-    O: Observer + Send,
-{
+) {
     if threads <= 1 || engines.len() <= 1 {
         for (e, o) in engines.iter_mut().zip(obs.iter_mut()) {
             e.advance(horizon, &mut **o);
@@ -441,11 +420,7 @@ fn advance_level<P, S, O>(
 /// Deliver one edge's mailbox: take the source flow's recorded batch,
 /// swap it into the destination flow's replay source, and put the
 /// recovered spare buffer back as the next recording buffer.
-fn exchange<P, S>(engines: &mut [LinkEngine<P, S, IndexedTimers>], pos_of: &[usize], e: Edge)
-where
-    P: BufferPolicy,
-    S: Scheduler,
-{
+fn exchange(engines: &mut [LinkEngine], pos_of: &[usize], e: Edge) {
     let (src, dst) = (pos_of[e.src_link as usize], pos_of[e.dst_link as usize]);
     debug_assert!(src < dst, "edge must point down the level order");
     let (head, tail) = engines.split_at_mut(dst);

@@ -24,26 +24,28 @@
 //!   thread pool with bit-identical results for any thread count;
 //! * [`scenarios`] — the §3.2 schemes, §3.3 sharing setups and §4.2
 //!   hybrid cases as ready-made configurations, plus topology
-//!   generators (aggregation tree, incast fan-in) for the fabric;
+//!   generators (tandem line, aggregation tree, incast fan-in) for the
+//!   fabric;
 //! * [`fabric`] — a DAG of links advanced in deterministic
 //!   mailbox-exchange epochs, with link-level sharding across threads
-//!   (extension beyond the paper's single link);
-//! * [`tandem`] — feed-forward multi-hop lines, now a degenerate
-//!   path-graph [`Fabric`].
+//!   (extension beyond the paper's single link); multi-hop lines are
+//!   the path-graph case ([`scenarios::tandem_line`]).
+//!
+//! There is one dispatch strategy: policies and schedulers are boxed
+//! trait objects, sources the closed [`qbm_traffic::SourceKind`] enum
+//! (see [`router`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod arena;
+mod arena;
 pub mod event;
 pub mod experiment;
 pub mod fabric;
 pub mod router;
 pub mod scenarios;
 pub mod stats;
-pub mod tandem;
 
-pub use arena::SimArena;
 pub use event::{EventCore, EventQueue, IndexedTimers};
 pub use experiment::{
     Campaign, ExperimentConfig, MultiRun, PolicySpec, SeedMode, SourceSel, Summary,

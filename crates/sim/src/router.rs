@@ -14,14 +14,22 @@
 //! fluid-model convention that a departing bit frees space for a
 //! simultaneous arrival.
 //!
-//! The loop is written to be allocation-free per event: sources sit in
-//! a [`SourceKind`] enum (inlined dispatch, no vtable), per-flow state
-//! lives in the SoA [`FlowLanes`] arrays, and events come from the
+//! One dispatch strategy throughout (DESIGN.md §3, "One dispatch"):
+//! the policy and scheduler are trait objects (`Box<dyn BufferPolicy>`
+//! / `Box<dyn Scheduler>`, what [`PolicySpec::build`] and
+//! [`SchedKind::build`] return), while sources sit in the closed
+//! [`SourceKind`] enum (inlined dispatch, no vtable).
+//!
+//! The loop is written to be allocation-free per event: per-flow state
+//! lives in the SoA `FlowLanes` arrays and events come from the
 //! [`IndexedTimers`] tournament tree — the reference
 //! [`EventQueue`](crate::event::EventQueue) heap remains available via
 //! [`Router::run_reference`] for differential testing. The
 //! `hot-path-alloc` qbm-lint rule enforces the no-allocation property
 //! on `LinkEngine::advance`/`start_transmission` going forward.
+//!
+//! [`PolicySpec::build`]: crate::PolicySpec::build
+//! [`SchedKind::build`]: qbm_sched::SchedKind::build
 
 use crate::event::{Event, EventCore, IndexedTimers};
 use crate::stats::{SimResult, StatsCollector, StatsConfig};
@@ -85,33 +93,16 @@ pub(crate) struct FlowLanes {
 }
 
 /// A single-output-link router under simulation.
-///
-/// Generic over the admission policy and scheduler so concrete types
-/// monomorphize to static dispatch; the defaults are trait objects, and
-/// the blanket `impl … for Box<…>` in `qbm-core`/`qbm-sched` keeps every
-/// pre-existing `Box<dyn …>` call site compiling unchanged.
-pub struct Router<P = Box<dyn BufferPolicy>, S = Box<dyn Scheduler>>
-where
-    P: BufferPolicy,
-    S: Scheduler,
-{
+pub struct Router {
     link_rate: Rate,
-    policy: P,
-    scheduler: S,
+    policy: Box<dyn BufferPolicy>,
+    scheduler: Box<dyn Scheduler>,
     lanes: FlowLanes,
-    /// Packet currently on the wire.
-    in_flight: Option<PacketRef>,
-    /// Global arrival sequence counter (scheduler tie-break).
-    seq: u64,
     /// Streaming-statistics attachments for the collector (sketches).
     stats_cfg: StatsConfig,
 }
 
-impl<P, S> Router<P, S>
-where
-    P: BufferPolicy,
-    S: Scheduler,
-{
+impl Router {
     /// Number of flows this router multiplexes.
     pub(crate) fn n_flows(&self) -> usize {
         self.lanes.sources.len()
@@ -120,38 +111,27 @@ where
     /// Whether flow `flow`'s source reacts to feedback — the fabric's
     /// probe for wiring closed-loop signal paths.
     pub(crate) fn flow_is_closed_loop(&self, flow: usize) -> bool {
-        self.lanes.sources[flow].is_closed_loop()
+        self.lanes.sources[flow].reacts_to_feedback()
     }
 
     /// Assemble a router. `sources[i]` feeds `FlowId(i)`.
     ///
-    /// Accepts anything convertible into [`SourceKind`]: concrete
-    /// source types dispatch through an inlinable enum, while
-    /// `Box<dyn Source>` call sites keep compiling via the
-    /// [`SourceKind::Dyn`] escape hatch.
+    /// Accepts [`SourceKind`]s or any concrete source type convertible
+    /// into one.
     pub fn new<K: Into<SourceKind>>(
         link_rate: Rate,
-        policy: P,
-        scheduler: S,
+        policy: Box<dyn BufferPolicy>,
+        scheduler: Box<dyn Scheduler>,
         sources: Vec<K>,
-    ) -> Router<P, S> {
-        assert!(link_rate.bps() > 0, "zero link rate");
-        assert!(!sources.is_empty(), "no sources");
+    ) -> Router {
         let n = sources.len();
-        Router {
-            link_rate,
-            policy,
-            scheduler,
-            lanes: FlowLanes {
-                sources: sources.into_iter().map(Into::into).collect(),
-                pending: vec![None; n],
-                meters: None,
-                over: vec![false; n],
-            },
-            in_flight: None,
-            seq: 0,
-            stats_cfg: StatsConfig::default(),
-        }
+        let lanes = FlowLanes {
+            sources: sources.into_iter().map(Into::into).collect(),
+            pending: vec![None; n],
+            meters: None,
+            over: vec![false; n],
+        };
+        Router::from_lanes(link_rate, policy, scheduler, lanes)
     }
 
     /// Assemble a router around pre-built [`FlowLanes`] — the pooled
@@ -160,10 +140,10 @@ where
     /// them.
     pub(crate) fn from_lanes(
         link_rate: Rate,
-        policy: P,
-        scheduler: S,
+        policy: Box<dyn BufferPolicy>,
+        scheduler: Box<dyn Scheduler>,
         lanes: FlowLanes,
-    ) -> Router<P, S> {
+    ) -> Router {
         assert!(link_rate.bps() > 0, "zero link rate");
         assert!(!lanes.sources.is_empty(), "no sources");
         debug_assert_eq!(lanes.pending.len(), lanes.sources.len());
@@ -173,8 +153,6 @@ where
             policy,
             scheduler,
             lanes,
-            in_flight: None,
-            seq: 0,
             stats_cfg: StatsConfig::default(),
         }
     }
@@ -183,7 +161,7 @@ where
     /// sketches) to every run of this router. The default is off: a
     /// plain run produces byte-identical results to the pre-sketch
     /// simulator.
-    pub fn with_stats(mut self, cfg: StatsConfig) -> Router<P, S> {
+    pub fn with_stats(mut self, cfg: StatsConfig) -> Router {
         self.stats_cfg = cfg;
         self
     }
@@ -193,7 +171,7 @@ where
     /// when they fit the envelope, *red* otherwise — the coloring of
     /// the paper's Remark 1. Marking is observational: admission
     /// decisions are unchanged; statistics gain the green counters.
-    pub fn with_meters(mut self, specs: &[FlowSpec]) -> Router<P, S> {
+    pub fn with_meters(mut self, specs: &[FlowSpec]) -> Router {
         assert_eq!(specs.len(), self.lanes.sources.len(), "one meter per flow");
         self.lanes.meters = Some(
             specs
@@ -207,9 +185,7 @@ where
     /// Run until `end`, measuring from `warmup` on. Returns the
     /// per-flow statistics for the window `[warmup, end)`.
     pub fn run(self, warmup: Time, end: Time, seed: u64) -> SimResult {
-        let events = IndexedTimers::with_flows(self.lanes.sources.len());
-        self.run_inner(warmup, end, seed, None, &mut NullObserver, events)
-            .0
+        self.run_with(warmup, end, seed, &mut NullObserver)
     }
 
     /// [`Router::run`] on the reference [`crate::event::EventQueue`]
@@ -219,7 +195,7 @@ where
     /// `sim_throughput` benchmark.
     pub fn run_reference(self, warmup: Time, end: Time, seed: u64) -> SimResult {
         let events = crate::event::EventQueue::with_flows(self.lanes.sources.len());
-        self.run_inner(warmup, end, seed, None, &mut NullObserver, events)
+        self.run_inner(warmup, end, seed, &mut NullObserver, events)
             .0
     }
 
@@ -235,75 +211,28 @@ where
         obs: &mut O,
     ) -> SimResult {
         let events = IndexedTimers::with_flows(self.lanes.sources.len());
-        self.run_inner(warmup, end, seed, None, obs, events).0
+        self.run_inner(warmup, end, seed, obs, events).0
     }
 
-    /// [`Router::run_with`] on a caller-supplied event core (typically
-    /// rebuilt from a [`crate::arena::SimArena`]'s recycled vectors),
-    /// returning the spent [`FlowLanes`] and core so the arena can
-    /// reclaim their allocations for the next campaign cell.
-    pub(crate) fn run_pooled<O: Observer>(
-        self,
-        warmup: Time,
-        end: Time,
-        seed: u64,
-        obs: &mut O,
-        events: IndexedTimers,
-    ) -> (SimResult, FlowLanes, IndexedTimers) {
-        let (res, _, lanes, events) = self.run_inner(warmup, end, seed, None, obs, events);
-        (res, lanes, events)
-    }
-
-    /// Like [`Router::run`], additionally recording every departure as
-    /// a per-flow emission trace (completion instants) — the feed for
-    /// the next hop of a [`crate::tandem`] line. Recording covers the
-    /// whole run, not just the measurement window, so downstream hops
-    /// see the full traffic.
-    pub fn run_recording(
-        self,
-        warmup: Time,
-        end: Time,
-        seed: u64,
-    ) -> (SimResult, Vec<Vec<Emission>>) {
-        self.run_recording_with(warmup, end, seed, &mut NullObserver)
-    }
-
-    /// [`Router::run_recording`] with an observer attached.
-    pub fn run_recording_with<O: Observer>(
-        self,
-        warmup: Time,
-        end: Time,
-        seed: u64,
-        obs: &mut O,
-    ) -> (SimResult, Vec<Vec<Emission>>) {
-        let events = IndexedTimers::with_flows(self.lanes.sources.len());
-        let (res, traces, _, _) = self.run_inner(warmup, end, seed, Some(Vec::new()), obs, events);
-        (res, traces.expect("recording requested"))
-    }
-
-    /// The event loop, generic over observer and event core. `traces`
-    /// `Some(buffers)` requests departure recording into the supplied
-    /// per-flow buffers (resized/cleared to fit, capacity reused).
-    /// Returns the statistics, the recorded traces, and the spent
-    /// lanes and event core (whose allocations a tandem line or a
-    /// campaign arena recycles). The caller supplies `events` sized
-    /// for `sources.len()` flows.
+    /// The event loop, generic over observer and event core. Returns
+    /// the statistics and the spent lanes and event core, whose
+    /// allocations a campaign's [`crate::arena::SimArena`] recycles.
+    /// The caller supplies `events` sized for `sources.len()` flows.
     ///
     /// The loop itself lives in [`LinkEngine`]: a single-link run is
     /// one engine primed and advanced to `end` in a single epoch, while
     /// the fabric (`crate::fabric`) advances many engines in bounded
     /// mailbox-exchange epochs. Either way the event sequence is
     /// identical.
-    fn run_inner<O: Observer, E: EventCore>(
+    pub(crate) fn run_inner<O: Observer, E: EventCore>(
         self,
         warmup: Time,
         end: Time,
         seed: u64,
-        traces: Option<Vec<Vec<Emission>>>,
         obs: &mut O,
         events: E,
-    ) -> (SimResult, Option<Vec<Vec<Emission>>>, FlowLanes, E) {
-        let mut engine = LinkEngine::new(self, warmup, end, seed, traces, events, 0);
+    ) -> (SimResult, FlowLanes, E) {
+        let mut engine = LinkEngine::new(self, warmup, end, seed, None, events, 0);
         engine.prime(obs);
         engine.advance(end, obs);
         engine.finish(obs)
@@ -327,21 +256,16 @@ where
 /// Invariant the cores rely on: each flow has at most one pending
 /// arrival (pull discipline) and the link at most one pending
 /// departure.
-pub(crate) struct LinkEngine<P, S, E = IndexedTimers>
-where
-    P: BufferPolicy,
-    S: Scheduler,
-    E: EventCore,
-{
+pub(crate) struct LinkEngine<E: EventCore = IndexedTimers> {
     link_rate: Rate,
-    policy: P,
-    scheduler: S,
+    policy: Box<dyn BufferPolicy>,
+    scheduler: Box<dyn Scheduler>,
     lanes: FlowLanes,
     in_flight: Option<PacketRef>,
     seq: u64,
     stats: StatsCollector,
     /// Per-flow departure recording buffers (`Some` = this link feeds
-    /// downstream links or a tandem hop).
+    /// downstream fabric links).
     traces: Option<Vec<Vec<Emission>>>,
     /// Conservation ledger (debug builds): bytes admitted and not yet
     /// departed, independently of the policy's own accounting. Any
@@ -364,24 +288,19 @@ where
     link: u32,
 }
 
-impl<P, S, E> LinkEngine<P, S, E>
-where
-    P: BufferPolicy,
-    S: Scheduler,
-    E: EventCore,
-{
+impl<E: EventCore> LinkEngine<E> {
     /// Wrap a router into a paused engine measuring `[warmup, end)`.
     /// `traces: Some(buffers)` enables departure recording (buffers are
     /// resized/cleared to fit, capacity reused).
     pub(crate) fn new(
-        router: Router<P, S>,
+        router: Router,
         warmup: Time,
         end: Time,
         seed: u64,
         mut traces: Option<Vec<Vec<Emission>>>,
         events: E,
         link: u32,
-    ) -> LinkEngine<P, S, E> {
+    ) -> LinkEngine<E> {
         let n = router.lanes.sources.len();
         if let Some(bufs) = traces.as_mut() {
             bufs.resize_with(n, Vec::new);
@@ -408,7 +327,7 @@ where
             .sources
             .iter()
             .map(|s| {
-                if s.is_closed_loop() {
+                if s.reacts_to_feedback() {
                     FeedbackMode::Local { delivered: true }
                 } else {
                     FeedbackMode::Off
@@ -421,8 +340,8 @@ where
             policy: router.policy,
             scheduler: router.scheduler,
             lanes: router.lanes,
-            in_flight: router.in_flight,
-            seq: router.seq,
+            in_flight: None,
+            seq: 0,
             stats: StatsCollector::with_config(n, warmup, end, seed, router.stats_cfg),
             traces,
             queued_bytes: 0,
@@ -829,11 +748,8 @@ where
     }
 
     /// Close the run: final observer flush, statistics reduction, and
-    /// the spent parts for arena/tandem recycling.
-    pub(crate) fn finish<O: Observer>(
-        self,
-        obs: &mut O,
-    ) -> (SimResult, Option<Vec<Vec<Emission>>>, FlowLanes, E) {
+    /// the spent lanes and event core for arena recycling.
+    pub(crate) fn finish<O: Observer>(self, obs: &mut O) -> (SimResult, FlowLanes, E) {
         if O::ENABLED {
             obs.on_end(self.end, self.link);
         }
@@ -851,7 +767,7 @@ where
         if !aimd.is_empty() {
             result.aimd = Some(aimd);
         }
-        (result, self.traces, self.lanes, self.events)
+        (result, self.lanes, self.events)
     }
 
     fn start_transmission(&mut self, now: Time) {
@@ -876,11 +792,9 @@ mod tests {
     const LINK: Rate = Rate::from_bps(48_000_000);
 
     fn cbr_router(rates_mbps: &[f64], buffer: u64) -> Router {
-        let sources: Vec<Box<dyn Source>> = rates_mbps
+        let sources: Vec<CbrSource> = rates_mbps
             .iter()
-            .map(|&r| {
-                Box::new(CbrSource::new(Rate::from_mbps(r), 500, Time::ZERO)) as Box<dyn Source>
-            })
+            .map(|&r| CbrSource::new(Rate::from_mbps(r), 500, Time::ZERO))
             .collect();
         Router::new(
             LINK,

@@ -34,6 +34,5 @@ pub use regulator::ShapedSource;
 pub use source::{Emission, Feedback, Source};
 pub use trace::TraceSource;
 pub use workloads::{
-    build_source, build_source_kind, build_source_kind_with_sojourns, build_source_with_sojourns,
-    table1, table1_scaled, table2, PACKET_BYTES,
+    build_source_kind, build_source_kind_with_sojourns, table1, table1_scaled, table2, PACKET_BYTES,
 };

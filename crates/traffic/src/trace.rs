@@ -26,9 +26,7 @@ impl TraceSource {
     /// Wrap a trace the *caller* recorded in event order — sortedness
     /// holds by construction (a router emits departures at monotone
     /// simulation times), so the O(n) validation scan of
-    /// [`TraceSource::new`] is demoted to a debug assertion. This is
-    /// the tandem runner's per-hop constructor: hop *i*+1 replays hop
-    /// *i*'s departure record without re-walking it.
+    /// [`TraceSource::new`] is demoted to a debug assertion.
     pub fn from_recorded(trace: Vec<Emission>) -> TraceSource {
         debug_assert!(
             trace.windows(2).all(|w| w[0].time <= w[1].time),

@@ -14,7 +14,7 @@ use qos_buffer_mgmt::core::policy::{PolicyKind, SharedBuffer};
 use qos_buffer_mgmt::core::units::{ByteSize, Rate, Time};
 use qos_buffer_mgmt::sched::Fifo;
 use qos_buffer_mgmt::sim::Router;
-use qos_buffer_mgmt::traffic::{CbrSource, Source};
+use qos_buffer_mgmt::traffic::CbrSource;
 
 const LINK: Rate = Rate::from_bps(48_000_000);
 
@@ -36,10 +36,10 @@ fn build_router(policy_kind: Option<PolicyKind>) -> Router {
         Some(k) => k.build(b, LINK, &specs),
         None => Box::new(SharedBuffer::new(b, 2)),
     };
-    let sources: Vec<Box<dyn Source>> = vec![
-        Box::new(CbrSource::new(Rate::from_mbps(12.0), 500, Time::ZERO)),
+    let sources = vec![
+        CbrSource::new(Rate::from_mbps(12.0), 500, Time::ZERO),
         // The "greedy" flow: twice the link rate, never backs off.
-        Box::new(CbrSource::greedy(LINK, 500, 2)),
+        CbrSource::greedy(LINK, 500, 2),
     ];
     Router::new(LINK, policy, Box::new(Fifo::new()), sources)
 }

@@ -14,7 +14,7 @@ use qos_buffer_mgmt::core::flow::Conformance;
 use qos_buffer_mgmt::core::policy::PolicyKind;
 use qos_buffer_mgmt::core::units::{ByteSize, Rate, Time};
 use qos_buffer_mgmt::sched::SchedKind;
-use qos_buffer_mgmt::sim::tandem::{run_line, Hop};
+use qos_buffer_mgmt::sim::scenarios::{tandem_line, LinkProfile};
 use qos_buffer_mgmt::sim::PolicySpec;
 use qos_buffer_mgmt::traffic::table1;
 
@@ -33,18 +33,22 @@ fn main() {
         ByteSize::from_bytes(b2)
     );
 
-    let hop = |rate, buffer| Hop {
-        link_rate: rate,
-        buffer_bytes: buffer,
-        sched: SchedKind::Fifo,
-        policy: PolicySpec::Kind(PolicyKind::Threshold),
+    let hop = |rate, buffer_bytes| {
+        let profile = LinkProfile {
+            buffer_bytes,
+            sched: SchedKind::Fifo,
+            policy: PolicySpec::Kind(PolicyKind::Threshold),
+            ..LinkProfile::default()
+        };
+        (rate, profile)
     };
-    let res = run_line(
-        &[hop(fast, b1), hop(slow, b2)],
-        &specs,
+    // The line is a two-link fabric: hop 2's flows replay hop 1's
+    // departures.
+    let res = tandem_line(&[hop(fast, b1), hop(slow, b2)], &specs, 1).run(
         1,
         Time::from_secs(2),
         Time::from_secs(22),
+        1,
     );
 
     println!(

@@ -1,6 +1,6 @@
 //! Multi-hop composition: network-calculus burst inflation
-//! (`σ_out = σ + ρ·D`) drives per-hop provisioning, and the tandem
-//! simulator confirms the resulting line is lossless for conformant
+//! (`σ_out = σ + ρ·D`) drives per-hop provisioning, and a simulated
+//! tandem line confirms the resulting line is lossless for conformant
 //! flows — the deployment recipe the paper's single-node analysis
 //! enables.
 
@@ -9,12 +9,23 @@ use qos_buffer_mgmt::core::flow::{Conformance, FlowSpec};
 use qos_buffer_mgmt::core::policy::PolicyKind;
 use qos_buffer_mgmt::core::units::{Rate, Time};
 use qos_buffer_mgmt::sched::SchedKind;
-use qos_buffer_mgmt::sim::tandem::{run_line, Hop};
+use qos_buffer_mgmt::sim::scenarios::{tandem_line, LinkProfile};
 use qos_buffer_mgmt::sim::PolicySpec;
 use qos_buffer_mgmt::traffic::table1;
 
 /// Inflate every flow's σ by the upstream hop's worst-case delay and
 /// size the hop with Eq. 9 over the inflated specs.
+/// One FIFO hop of a line.
+fn hop(rate: Rate, buffer_bytes: u64, policy: PolicySpec) -> (Rate, LinkProfile) {
+    let profile = LinkProfile {
+        buffer_bytes,
+        sched: SchedKind::Fifo,
+        policy,
+        ..LinkProfile::default()
+    };
+    (rate, profile)
+}
+
 fn provision_hop(
     specs: &[FlowSpec],
     rate: Rate,
@@ -53,24 +64,22 @@ fn three_hop_line_provisioned_by_network_calculus_is_lossless() {
     let mut hop_specs = specs.clone();
     for &rate in &rates {
         let (inflated, buffer) = provision_hop(&hop_specs, rate, upstream_delay);
-        hops.push(Hop {
-            link_rate: rate,
-            buffer_bytes: buffer,
-            sched: SchedKind::Fifo,
-            // Thresholds computed from the *inflated* specs at this hop.
-            policy: PolicySpec::ExplicitThreshold {
-                thresholds: qos_buffer_mgmt::core::policy::compute_thresholds(
-                    buffer,
-                    rate,
-                    &inflated,
-                    Default::default(),
-                ),
-            },
-        });
+        // Thresholds computed from the *inflated* specs at this hop.
+        let thresholds = qos_buffer_mgmt::core::policy::compute_thresholds(
+            buffer,
+            rate,
+            &inflated,
+            Default::default(),
+        );
+        hops.push(hop(
+            rate,
+            buffer,
+            PolicySpec::ExplicitThreshold { thresholds },
+        ));
         upstream_delay = Some(fifo_delay_bound(buffer, rate, 500));
         hop_specs = inflated;
     }
-    let res = run_line(&hops, &specs, 1, Time::from_secs(1), Time::from_secs(31));
+    let res = tandem_line(&hops, &specs, 1).run(1, Time::from_secs(1), Time::from_secs(31), 1);
     assert_eq!(res.len(), 3);
     for (h, r) in res.iter().enumerate() {
         assert_eq!(
@@ -113,22 +122,13 @@ fn under_provisioned_middle_hop_loses_what_calculus_predicts_it_might() {
     // packets there, showing the inflation step is load-bearing.
     let specs = table1();
     let r2 = Rate::from_mbps(40.0);
+    let thresh = PolicySpec::Kind(PolicyKind::Threshold);
     let hops = vec![
-        Hop {
-            link_rate: Rate::from_mbps(48.0),
-            buffer_bytes: 1 << 21,
-            sched: SchedKind::Fifo,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
-        },
-        Hop {
-            link_rate: r2,
-            // Far below the Eq.9 requirement at 40 Mb/s (≈ 3.3 MiB).
-            buffer_bytes: 128 * 1024,
-            sched: SchedKind::Fifo,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
-        },
+        hop(Rate::from_mbps(48.0), 1 << 21, thresh.clone()),
+        // Far below the Eq.9 requirement at 40 Mb/s (≈ 3.3 MiB).
+        hop(r2, 128 * 1024, thresh),
     ];
-    let res = run_line(&hops, &specs, 5, Time::from_secs(1), Time::from_secs(9));
+    let res = tandem_line(&hops, &specs, 5).run(5, Time::from_secs(1), Time::from_secs(9), 1);
     let loss2 = res[1].class_loss_ratio(&specs, Conformance::Conformant);
     assert!(
         loss2 > 0.0,

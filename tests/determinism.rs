@@ -279,9 +279,9 @@ fn golden_fixed_seed_trace_snapshot() {
 
 #[test]
 fn indexed_timers_match_reference_heap_end_to_end() {
-    // Differential check across the whole pipeline: the pre-overhaul
-    // path (boxed dyn sources + BinaryHeap event core) and the new
-    // default (enum sources + IndexedTimers) must agree byte-for-byte
+    // Differential check across the whole pipeline: the reference
+    // BinaryHeap event core and the default IndexedTimers core (same
+    // enum sources, policy and scheduler) must agree byte-for-byte
     // on every scheduler × policy combination and on the 30-flow
     // Table-2 workload.
     for (name, c) in all_combinations() {
@@ -412,20 +412,22 @@ fn path_fabric_reproduces_pre_refactor_tandem_goldens() {
     // fabric the line now runs on must reproduce both the per-hop
     // statistics and the per-hop JSONL traces byte-for-byte.
     use qos_buffer_mgmt::core::units::{Rate, Time};
-    use qos_buffer_mgmt::sim::tandem::{run_line, run_line_observed, Hop};
-    use qos_buffer_mgmt::sim::Router;
+    use qos_buffer_mgmt::sim::scenarios::{tandem_line, LinkProfile};
     let specs = table1();
-    let hops: Vec<Hop> = [48.0, 44.0, 40.0]
+    let hops: Vec<(Rate, LinkProfile)> = [48.0, 44.0, 40.0]
         .iter()
-        .map(|&m| Hop {
-            link_rate: Rate::from_mbps(m),
-            buffer_bytes: 1 << 20,
-            sched: SchedKind::Fifo,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
+        .map(|&m| {
+            let profile = LinkProfile {
+                buffer_bytes: 1 << 20,
+                sched: SchedKind::Fifo,
+                policy: PolicySpec::Kind(PolicyKind::Threshold),
+                ..LinkProfile::default()
+            };
+            (Rate::from_mbps(m), profile)
         })
         .collect();
     let (warmup, end) = (Time::from_secs(1), Time::from_secs(5));
-    let res = run_line(&hops, &specs, 17, warmup, end);
+    let res = tandem_line(&hops, &specs, 17).run(17, warmup, end, 1);
     let stats_golden = [
         0xd2cd17612077d565u64,
         0x9edc29f704242eef,
@@ -443,20 +445,7 @@ fn path_fabric_reproduces_pre_refactor_tandem_goldens() {
         Tracer::new(1 << 20),
         Tracer::new(1 << 20),
     ];
-    let observed = run_line_observed(
-        3,
-        &specs,
-        17,
-        warmup,
-        end,
-        |i, sources| {
-            let hop = &hops[i];
-            let policy = hop.policy.build(hop.buffer_bytes, hop.link_rate, &specs);
-            let sched = hop.sched.build(hop.link_rate, &specs);
-            Router::new(hop.link_rate, policy, sched, sources)
-        },
-        &mut tracers,
-    );
+    let observed = tandem_line(&hops, &specs, 17).run_observed(17, warmup, end, 1, &mut tracers);
     assert_eq!(res, observed, "observed tandem run diverges from plain run");
     let trace_golden = [
         (0x5e3a4b9dc2eb4771u64, 11_469_759usize),
@@ -808,7 +797,6 @@ fn source_kind_coverage_every_variant_emits_deterministically() {
                 Rate::from_mbps(2.0),
             )),
             SourceKind::Aimd(AimdSource::new(AimdConfig::default())),
-            SourceKind::Dyn(Box::new(CbrSource::new(rate, 500, Time::ZERO))),
         ]
     };
     let pull = |mut sources: Vec<SourceKind>| -> Vec<Vec<Emission>> {
