@@ -22,7 +22,7 @@ fn pkt(flow: u32, seq: u64) -> PacketRef {
 /// Steady-state enqueue+dequeue with `n` flows kept backlogged: every
 /// iteration enqueues one packet and dequeues one, so the scheduler
 /// holds ~n packets throughout and heap depth reflects the flow count.
-fn bench_pair(c: &mut Criterion) {
+fn bench_schedulers(c: &mut Criterion) {
     let mut g = c.benchmark_group("sched_enqueue_dequeue");
     for &n in &[10usize, 100, 1000, 10_000] {
         let weights: Vec<u64> = (0..n).map(|i| 400_000 + (i as u64 % 64) * 10_000).collect();
@@ -89,5 +89,5 @@ fn prime<S: Scheduler>(s: &mut S, n: usize) {
     }
 }
 
-criterion_group!(benches, bench_pair);
+criterion_group!(benches, bench_schedulers);
 criterion_main!(benches);

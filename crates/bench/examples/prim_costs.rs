@@ -1,7 +1,8 @@
 //! Microbenchmark of the scheduler-path primitives: Q32.32 divisions,
-//! indexed active-set updates, and queue ops. Diagnostic companion to
-//! `cost_breakdown` — tells you the unit cost of each primitive so the
-//! per-run op counts printed there convert into a time budget.
+//! indexed active-set updates, and queue ops — the unit cost of each
+//! primitive, so per-run op counts (perfbench's `sched.ops`,
+//! `timers.ops`) convert into a time budget. Its scan-vs-tree layout
+//! sweep is the measurement behind `SCAN_TREE_CROSSOVER`.
 //!
 //! Usage: `cargo run --release -p qbm-bench --example prim_costs`
 

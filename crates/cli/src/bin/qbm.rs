@@ -44,8 +44,9 @@
 //!   With `--topology` it also attaches per-link temporal heatmaps
 //!   ([`qbm_obs::HeatmapObserver`]) and renders delay/occupancy/drop
 //!   sparklines per link. Per-flow sketches downgrade to
-//!   aggregate-only above the `StatsConfig` flow-count guard (~4096;
-//!   DESIGN.md §14), with a warning.
+//!   aggregate-only when a run would carry them for more than
+//!   `PER_FLOW_SKETCH_LIMIT` (4096) flows, summed over a fabric's
+//!   links (DESIGN.md §14); `--topology` runs warn when that happens.
 
 use qbm_cli::profile::Profiler;
 use qbm_cli::report::{admission_report, percentile_report, simulation_report, StatsMode};
@@ -266,14 +267,10 @@ fn traced_run(s: &Scenario, trace_path: &str, probe_interval: Option<Dur>) -> u6
     // A disabled probe's first tick sits at u64::MAX ns — never reached.
     let interval = probe_interval.unwrap_or(Dur(u64::MAX));
     // Closed-loop runs capture `fb` records (schema v2); open-loop
-    // traces keep their exact v1 bytes.
-    let tracer = if s.sources == SourceSel::Aimd {
-        Tracer::default().with_feedback()
-    } else {
-        Tracer::default()
-    };
+    // runs never fire the hook, so their traces keep their exact v1
+    // bytes.
     let mut obs = (
-        tracer,
+        Tracer::default(),
         (
             TimeSeriesProbe::new(interval).with_per_flow(),
             CountingObserver::default(),
@@ -322,7 +319,6 @@ fn run_topology(s: &Scenario, opts: &Options) {
         policy: qbm_sim::PolicySpec::Kind(s.policy),
         stats: qbm_sim::StatsConfig {
             sketches: opts.sketch_params(),
-            ..qbm_sim::StatsConfig::default()
         },
     };
     let kind = opts.topology.as_deref().unwrap_or("tree");
@@ -350,14 +346,6 @@ fn run_topology(s: &Scenario, opts: &Options) {
         }
         "subscriber-tree" => {
             let shape = SubscriberTreeShape::for_flows(opts.flows.unwrap_or(100));
-            if profile.stats.per_flow_downgraded(shape.flows()) {
-                eprintln!(
-                    "warning: {} flows exceed the per-flow sketch limit ({}); \
-                     downgrading to aggregate-only sketches (DESIGN.md §14)",
-                    shape.flows(),
-                    profile.stats.per_flow_sketch_limit
-                );
-            }
             detail_links = 1 + shape.sites;
             let mut labels = vec!["core".to_string()];
             labels.extend((0..shape.sites).map(|i| format!("site{i}")));
@@ -378,6 +366,15 @@ fn run_topology(s: &Scenario, opts: &Options) {
             )
         }
     };
+    if fabric.per_flow_downgraded() {
+        eprintln!(
+            "warning: per-flow sketches over all {} links would cover more than \
+             the per-run limit of {} flows; downgrading to aggregate-only sketches \
+             (DESIGN.md §14)",
+            fabric.n_links(),
+            qbm_sim::stats::PER_FLOW_SKETCH_LIMIT
+        );
+    }
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -403,7 +400,7 @@ fn run_topology(s: &Scenario, opts: &Options) {
             let mut obs: Vec<(Tracer, HeatmapObserver)> = (0..n_links)
                 .map(|_| {
                     (
-                        Tracer::default().with_link_dim(),
+                        Tracer::default(),
                         HeatmapObserver::new(HeatmapParams::default()),
                     )
                 })
@@ -414,7 +411,7 @@ fn run_topology(s: &Scenario, opts: &Options) {
             (res, Some(heat))
         }
         (Some(path), false) => {
-            let mut tracers = vec![Tracer::default().with_link_dim(); n_links];
+            let mut tracers = vec![Tracer::default(); n_links];
             let res = fabric.run_observed(seed, warmup, end, threads, &mut tracers);
             print_trace(&tracers, path);
             (res, None)

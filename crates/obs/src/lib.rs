@@ -12,14 +12,13 @@
 //! `O::ENABLED`, a `const`. For [`NullObserver`] (`ENABLED = false`)
 //! the guards are constant-false branches that monomorphization deletes
 //! outright, so an unobserved run compiles to the same machine code as
-//! the pre-instrumentation simulator (`BENCH_obs.json` keeps the
-//! receipt).
+//! the pre-instrumentation simulator.
 //!
 //! Every hook carries a **link id** — the index of the emitting link in
 //! a multi-link fabric (`qbm-sim::fabric`). Single-router runs pass
 //! link 0; observers that predate the fabric simply ignore the
-//! parameter, and the JSONL trace schema emits it only when a
-//! [`Tracer`] opts in (see [`Tracer::with_link_dim`]), keeping
+//! parameter, and the JSONL trace schema emits it only in merged
+//! fabric traces ([`Tracer::merged_links_jsonl`]), keeping
 //! single-link traces byte-identical to schema v1 output.
 //!
 //! Concrete observers:

@@ -23,11 +23,10 @@
 //! | `cell` | `cell`, `seed` | campaign cell boundary in a merged trace; resets the time watermark |
 //!
 //! Every event record additionally carries an optional `link` field —
-//! the emitting link's index in a multi-link fabric — emitted only by
-//! link-dimensioned tracers ([`crate::Tracer::with_link_dim`]).
+//! the emitting link's index in a multi-link fabric — emitted only in
+//! merged fabric traces ([`crate::Tracer::merged_links_jsonl`]).
 //! Single-link traces omit it entirely, so their bytes are unchanged
-//! from pre-fabric output and the schema version stays 1; verifiers
-//! accept both forms.
+//! from pre-fabric output; verifiers accept both forms.
 //!
 //! Serialization is hand-rolled (fixed field order, no serde): byte
 //! identity across runs and thread counts is part of the contract, so
@@ -320,9 +319,8 @@ impl TraceRecord {
 
     /// [`TraceRecord::to_json`] with the link dimension appended as a
     /// final `"link":N` field (event records only — `cell` markers are
-    /// global). Used by link-dimensioned tracers; plain tracers call
-    /// [`TraceRecord::to_json`] so single-link traces keep their exact
-    /// pre-fabric bytes.
+    /// global). Used by merged fabric traces; single-link traces call
+    /// [`TraceRecord::to_json`] and keep their exact pre-fabric bytes.
     pub fn to_json_with_link(&self) -> String {
         let mut s = self.to_json();
         if let Some(link) = self.link() {
@@ -340,7 +338,7 @@ pub fn header(flows: usize, truncated: u64) -> String {
 }
 
 /// [`header`] with an explicit schema version — v2 headers are written
-/// by tracers that may hold `fb` records ([`crate::Tracer::with_feedback`]).
+/// by tracers whose `fb` hook fired ([`crate::Tracer`]).
 pub fn header_with_version(flows: usize, truncated: u64, version: u32) -> String {
     format!(
         "{{\"schema\":\"{SCHEMA_NAME}\",\"version\":{version},\"flows\":{flows},\"truncated\":{truncated}}}"

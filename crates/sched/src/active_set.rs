@@ -100,7 +100,7 @@ impl ActiveSet {
 
     /// An all-empty set with `n` slots in an explicit layout — both
     /// layouts compute identical minima; forcing one exists for the
-    /// crossover benchmarks (`prim_costs`, `sched_scale`) and the
+    /// crossover measurement (the `prim_costs` example) and the
     /// differential tests.
     pub fn with_layout(n: usize, layout: Layout) -> ActiveSet {
         assert!(n > 0, "no slots");

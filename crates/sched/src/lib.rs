@@ -28,8 +28,8 @@
 //! no heap churn on the hot path. The original float/`BinaryHeap`
 //! formulations are retained verbatim-in-architecture as
 //! `*_reference` schedulers in [`reference`], built via
-//! [`SchedKind::build_reference`], for differential testing and as the
-//! performance baseline of `BENCH_sched.json`.
+//! [`SchedKind::build_reference`], as the oracles of the differential
+//! and determinism suites.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -188,8 +188,7 @@ impl ExperimentConfig {
     /// virtual-time arithmetic differs (f64 over the shared Q32.32
     /// quantization instead of pure integers). The determinism suite
     /// asserts the output is byte-identical to `run_once` for every
-    /// scheduler × policy combination; the `sched_throughput` benchmark
-    /// uses it as the before-side of the fixed-point speedup.
+    /// scheduler × policy combination.
     pub fn run_once_sched_reference(&self, seed: u64) -> SimResult {
         let sched = self.sched.build_reference(self.link_rate, &self.specs);
         self.router(seed, sched)
@@ -199,9 +198,8 @@ impl ExperimentConfig {
     /// [`ExperimentConfig::run_once`] on the reference binary-heap
     /// event core ([`crate::event::EventQueue`]) instead of
     /// [`IndexedTimers`]: same sources, policy and scheduler. Must
-    /// produce byte-identical results to `run_once` — the determinism
-    /// suite asserts it — and serves as the baseline side of the
-    /// `sim_throughput` benchmark.
+    /// produce byte-identical results to `run_once`, which the
+    /// determinism suite asserts.
     ///
     /// [`IndexedTimers`]: crate::event::IndexedTimers
     pub fn run_once_reference(&self, seed: u64) -> SimResult {

@@ -43,7 +43,7 @@
 
 use crate::event::{EventCore, IndexedTimers};
 use crate::router::{FeedbackMode, LinkEngine, Router};
-use crate::stats::SimResult;
+use crate::stats::{SimResult, PER_FLOW_SKETCH_LIMIT};
 use qbm_core::flow::FlowId;
 use qbm_core::units::{Dur, Time};
 use qbm_obs::{NullObserver, Observer};
@@ -189,6 +189,22 @@ impl Fabric {
         level
     }
 
+    /// True iff this fabric's links request per-flow sketches for more
+    /// than [`PER_FLOW_SKETCH_LIMIT`] flows in total, so
+    /// [`Fabric::run_observed`] keeps aggregate sketches only on every
+    /// link. The limit bounds the whole run: a subscriber tree's relay
+    /// links each carry a share of the flows, so a per-link check would
+    /// pass every site and AP link while their sum blows the budget.
+    pub fn per_flow_downgraded(&self) -> bool {
+        let sketched: usize = self
+            .links
+            .iter()
+            .filter(|r| r.stats_cfg.wants_per_flow())
+            .map(Router::n_flows)
+            .sum();
+        sketched > PER_FLOW_SKETCH_LIMIT
+    }
+
     /// Run the fabric unobserved. See [`Fabric::run_observed`].
     pub fn run(self, seed: u64, warmup: Time, end: Time, threads: usize) -> Vec<SimResult> {
         let mut observers = vec![NullObserver; self.links.len()];
@@ -207,9 +223,10 @@ impl Fabric {
     ///
     /// Returns one [`SimResult`] per link, in link-index order, all
     /// carrying `seed` (per-link source seeds are the topology
-    /// builder's concern — see `scenarios`).
+    /// builder's concern — see `scenarios`). No link carries per-flow
+    /// sketches when [`Fabric::per_flow_downgraded`].
     pub fn run_observed<O>(
-        self,
+        mut self,
         seed: u64,
         warmup: Time,
         end: Time,
@@ -222,6 +239,15 @@ impl Fabric {
         let n = self.links.len();
         assert!(n > 0, "empty fabric");
         assert_eq!(observers.len(), n, "one observer per link");
+        if self.per_flow_downgraded() {
+            for sp in self
+                .links
+                .iter_mut()
+                .filter_map(|r| r.stats_cfg.sketches.as_mut())
+            {
+                sp.per_flow = false;
+            }
+        }
         let level = self.levels();
         let n_levels = level.iter().max().copied().unwrap_or(0) as usize + 1;
 

@@ -99,7 +99,7 @@ pub struct Router {
     scheduler: Box<dyn Scheduler>,
     lanes: FlowLanes,
     /// Streaming-statistics attachments for the collector (sketches).
-    stats_cfg: StatsConfig,
+    pub(crate) stats_cfg: StatsConfig,
 }
 
 impl Router {
@@ -190,9 +190,8 @@ impl Router {
 
     /// [`Router::run`] on the reference [`crate::event::EventQueue`]
     /// binary heap instead of the [`IndexedTimers`] production core.
-    /// Exists for differential testing (the two cores must produce
-    /// byte-identical statistics) and as the before-side of the
-    /// `sim_throughput` benchmark.
+    /// Exists for differential testing: the two cores must produce
+    /// byte-identical statistics.
     pub fn run_reference(self, warmup: Time, end: Time, seed: u64) -> SimResult {
         let events = crate::event::EventQueue::with_flows(self.lanes.sources.len());
         self.run_inner(warmup, end, seed, &mut NullObserver, events)

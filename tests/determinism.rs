@@ -463,7 +463,7 @@ fn path_fabric_reproduces_pre_refactor_tandem_goldens() {
     }
 }
 
-/// Run a topology fabric with per-link link-dim tracers; returns the
+/// Run a topology fabric with per-link tracers; returns the
 /// statistics debug digest and the merged per-link trace text.
 fn fabric_digests(
     fabric: qos_buffer_mgmt::sim::Fabric,
@@ -471,7 +471,7 @@ fn fabric_digests(
     threads: usize,
 ) -> (u64, String) {
     use qos_buffer_mgmt::core::units::Time;
-    let mut tracers = vec![Tracer::new(1 << 16).with_link_dim(); fabric.n_links()];
+    let mut tracers = vec![Tracer::new(1 << 16); fabric.n_links()];
     let res = fabric.run_observed(
         seed,
         Time::from_secs(1),
@@ -614,7 +614,7 @@ proptest::proptest! {
         let run = |threads: usize| {
             let fabric = aggregation_tree(aps, subs, specs, rates, &LinkProfile::default(), seed)
                 .with_epoch(Dur::from_millis(epoch_ms));
-            let mut tracers = vec![Tracer::new(4096).with_link_dim(); fabric.n_links()];
+            let mut tracers = vec![Tracer::new(4096); fabric.n_links()];
             let res = fabric.run_observed(
                 seed,
                 Time::from_secs_f64(0.1),
@@ -655,14 +655,13 @@ fn closed_loop_incast_golden_and_shard_thread_invariant() {
     // whose control loop closes across the fabric (departure/drop
     // signals from the aggregation link route back to the ingress
     // links) must produce byte-identical statistics AND a byte-identical
-    // merged feedback-enabled (schema v2) trace at 1 vs 8 shard
+    // merged feedback-carrying (schema v2) trace at 1 vs 8 shard
     // threads, and match the golden capture.
     use qos_buffer_mgmt::core::units::{Rate, Time};
     use qos_buffer_mgmt::sim::scenarios::{incast_closed_loop, LinkProfile};
     let run = |threads: usize| {
         let fabric = incast_closed_loop(4, Rate::from_mbps(40.0), &LinkProfile::default());
-        let mut tracers =
-            vec![Tracer::new(1 << 14).with_link_dim().with_feedback(); fabric.n_links()];
+        let mut tracers = vec![Tracer::new(1 << 14); fabric.n_links()];
         let res = fabric.run_observed(
             3,
             Time::from_secs_f64(0.1),
@@ -687,7 +686,7 @@ fn closed_loop_incast_golden_and_shard_thread_invariant() {
     );
     assert!(
         trace1.starts_with("{\"schema\":\"qbm-trace\",\"version\":2,"),
-        "feedback-enabled trace must carry the v2 header"
+        "feedback-carrying trace must carry the v2 header"
     );
     assert_eq!(
         stats1, 0x4857_5c6a_81fe_90f7,

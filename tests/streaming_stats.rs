@@ -1,14 +1,17 @@
 //! Streaming-telemetry acceptance (DESIGN.md §14): over a horizon 100×
 //! the paper's 22 s experiment, the delay quantile sketch agrees with an
 //! exact oracle within its configured relative-error bound, telemetry
-//! memory stays flat with run length, and sketch-carrying campaign runs
-//! are byte-identical for any thread count.
+//! memory stays flat with run length, sketch-carrying campaign runs
+//! are byte-identical for any thread count, and the per-flow sketch
+//! limit bounds a whole fabric run, not each link.
 
 use qos_buffer_mgmt::core::flow::{Conformance, FlowId, FlowSpec};
 use qos_buffer_mgmt::core::policy::PolicyKind;
 use qos_buffer_mgmt::core::units::{ByteSize, Dur, Rate, Time};
 use qos_buffer_mgmt::obs::{HeatmapObserver, HeatmapParams, Observer};
 use qos_buffer_mgmt::sched::SchedKind;
+use qos_buffer_mgmt::sim::scenarios::{subscriber_tree, LinkProfile, SubscriberTreeShape};
+use qos_buffer_mgmt::sim::stats::PER_FLOW_SKETCH_LIMIT;
 use qos_buffer_mgmt::sim::{ExperimentConfig, PolicySpec, SimResult, SketchParams, StatsConfig};
 
 /// A scaled-down Table-1-style pair of flows: the same shape at ~1/100
@@ -39,7 +42,6 @@ fn cfg(duration: Dur) -> ExperimentConfig {
         sojourns: Default::default(),
         stats: StatsConfig {
             sketches: Some(SketchParams::default()),
-            ..StatsConfig::default()
         },
         sources: Default::default(),
     }
@@ -139,4 +141,35 @@ fn sketch_campaign_runs_are_thread_invariant() {
     // Byte-identical, not just equal: the Debug rendering includes the
     // sketch digests, so any bucket-level divergence shows here.
     assert_eq!(format!("{:?}", one.runs), format!("{:?}", eight.runs));
+}
+
+#[test]
+fn per_flow_sketch_guard_bounds_the_whole_fabric_run() {
+    // 4100 subscribers: only the core link carries more flows than the
+    // limit; each site (1025) and AP (205) link is within it alone.
+    let shape = SubscriberTreeShape {
+        sites: 4,
+        aps_per_site: 5,
+        subs_per_ap: 205,
+    };
+    assert!(shape.flows() > PER_FLOW_SKETCH_LIMIT);
+    let profile = LinkProfile {
+        stats: StatsConfig {
+            sketches: Some(SketchParams::default()),
+        },
+        ..LinkProfile::default()
+    };
+    let fabric = subscriber_tree(shape, &profile, 3);
+    assert!(fabric.per_flow_downgraded());
+    let res = fabric.run(3, Time::ZERO, Time::from_secs_f64(0.02), 1);
+    for (link, r) in res.iter().enumerate() {
+        assert!(r.delay_sketch.is_some(), "link {link} lost its aggregate");
+        assert!(r.occ_sketch.is_some(), "link {link} lost its aggregate");
+        assert!(
+            r.flows
+                .iter()
+                .all(|f| f.delay_sketch.is_none() && f.occ_sketch.is_none()),
+            "link {link} kept per-flow sketches"
+        );
+    }
 }
