@@ -41,12 +41,13 @@
 //! * `--stats sketch|exact|both` — percentile source for `report`
 //!   (default `sketch`), and with `run`/`run --topology`: attach
 //!   streaming quantile sketches and append the percentile block.
-//!   With `--topology` it also attaches per-link temporal heatmaps
-//!   ([`qbm_obs::HeatmapObserver`]) and renders delay/occupancy/drop
-//!   sparklines per link. Per-flow sketches downgrade to
-//!   aggregate-only when a run would carry them for more than
-//!   `PER_FLOW_SKETCH_LIMIT` (4096) flows, summed over a fabric's
-//!   links (DESIGN.md §14); `--topology` runs warn when that happens.
+//!   With `--topology` it also attaches temporal heatmaps
+//!   ([`qbm_obs::HeatmapObserver`]) to the links that get a report row
+//!   and renders their delay/occupancy/drop sparklines. Per-flow
+//!   sketches downgrade to aggregate-only when a run would carry them
+//!   for more than `PER_FLOW_SKETCH_LIMIT` (4096) flows, summed over a
+//!   fabric's links (DESIGN.md §14); `--topology` runs warn when that
+//!   happens.
 
 use qbm_cli::profile::Profiler;
 use qbm_cli::report::{admission_report, percentile_report, simulation_report, StatsMode};
@@ -271,10 +272,7 @@ fn traced_run(s: &Scenario, trace_path: &str, probe_interval: Option<Dur>) -> u6
     // bytes.
     let mut obs = (
         Tracer::default(),
-        (
-            TimeSeriesProbe::new(interval).with_per_flow(),
-            CountingObserver::default(),
-        ),
+        (TimeSeriesProbe::new(interval), CountingObserver::default()),
     );
     let _ = s.to_config().run_once_with(seed, &mut obs);
     let (tracer, (probe, counter)) = obs;
@@ -383,47 +381,33 @@ fn run_topology(s: &Scenario, opts: &Options) {
     let warmup = qbm_core::units::Time::ZERO + s.warmup;
     let end = warmup + s.duration;
 
-    // Four observer shapes: tracing and heatmapping attach per link
-    // through `run_observed` and both merge byte-identically at any
-    // shard width.
-    let n_links = fabric.n_links();
-    let print_trace = |tracers: &[Tracer], path: &str| {
-        write_or_die(path, &Tracer::merged_links_jsonl(tracers));
-        let records: usize = tracers.iter().map(Tracer::len).sum();
-        println!(
-            "trace: {path} ({records} records across {} links, seed {seed})\n",
-            tracers.len()
-        );
-    };
-    let (res, heatmaps): (_, Option<Vec<HeatmapObserver>>) = match (&opts.trace, sketching) {
-        (Some(path), true) => {
-            let mut obs: Vec<(Tracer, HeatmapObserver)> = (0..n_links)
-                .map(|_| {
-                    (
-                        Tracer::default(),
-                        HeatmapObserver::new(HeatmapParams::default()),
-                    )
-                })
-                .collect();
-            let res = fabric.run_observed(seed, warmup, end, threads, &mut obs);
-            let (tracers, heat): (Vec<_>, Vec<_>) = obs.into_iter().unzip();
-            print_trace(&tracers, path);
-            (res, Some(heat))
+    // Tracing attaches to every link, heatmaps only to the links that
+    // get a report row; both merge byte-identically at any shard width.
+    let (res, heatmaps) = if opts.trace.is_some() || sketching {
+        let mut obs: Vec<(Option<Tracer>, Option<HeatmapObserver>)> = (0..fabric.n_links())
+            .map(|link| {
+                (
+                    opts.trace.as_ref().map(|_| Tracer::default()),
+                    (sketching && link < detail_links)
+                        .then(|| HeatmapObserver::new(HeatmapParams::default())),
+                )
+            })
+            .collect();
+        let res = fabric.run_observed(seed, warmup, end, threads, &mut obs);
+        let (tracers, heat): (Vec<_>, Vec<_>) = obs.into_iter().unzip();
+        if let Some(path) = &opts.trace {
+            let tracers: Vec<Tracer> = tracers.into_iter().flatten().collect();
+            write_or_die(path, &Tracer::merged_links_jsonl(&tracers));
+            let records: usize = tracers.iter().map(Tracer::len).sum();
+            println!(
+                "trace: {path} ({records} records across {} links, seed {seed})\n",
+                tracers.len()
+            );
         }
-        (Some(path), false) => {
-            let mut tracers = vec![Tracer::default(); n_links];
-            let res = fabric.run_observed(seed, warmup, end, threads, &mut tracers);
-            print_trace(&tracers, path);
-            (res, None)
-        }
-        (None, true) => {
-            let mut heat: Vec<HeatmapObserver> = (0..n_links)
-                .map(|_| HeatmapObserver::new(HeatmapParams::default()))
-                .collect();
-            let res = fabric.run_observed(seed, warmup, end, threads, &mut heat);
-            (res, Some(heat))
-        }
-        (None, false) => (fabric.run(seed, warmup, end, threads), None),
+        let heat: Vec<HeatmapObserver> = heat.into_iter().flatten().collect();
+        (res, sketching.then_some(heat))
+    } else {
+        (fabric.run(seed, warmup, end, threads), None)
     };
 
     println!(
@@ -492,7 +476,6 @@ fn run_topology(s: &Scenario, opts: &Options) {
     }
 
     if let Some(heat) = &heatmaps {
-        let shown = detail_links.min(heat.len());
         type Pick = for<'a> fn(&'a HeatmapObserver) -> &'a qbm_obs::TemporalHeatmap;
         for (title, pick, q, fmt) in [
             (
@@ -516,7 +499,6 @@ fn run_topology(s: &Scenario, opts: &Options) {
         ] {
             let rows: Vec<(usize, String)> = heat
                 .iter()
-                .take(shown)
                 .enumerate()
                 .filter_map(|(i, h)| heatmap_sparkline(pick(h), q, fmt).map(|l| (i, l)))
                 .collect();

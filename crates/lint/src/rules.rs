@@ -176,7 +176,7 @@ pub const ROOT_DRIFT_HINT: &str =
 /// every scheduler's enqueue/dequeue, the
 /// streaming-telemetry update paths (sketch/heatmap `record`, called
 /// per event when sketches are attached), the tournament-tree
-/// `replay` inside [`ActiveSet`] (per tag update at tree layouts),
+/// `replay` inside `ActiveSet` (per tag update at tree layouts),
 /// WF²Q+'s batched eligibility `sweep` (per virtual-clock advance),
 /// and every source's `on_feedback` handler (invoked once per
 /// departure/drop when the control loop is closed).

@@ -34,7 +34,8 @@
 //!   and drops; built on the mergeable [`QuantileSketch`].
 //!
 //! Observers compose: `(A, B)` is itself an [`Observer`] fanning every
-//! hook out to both halves.
+//! hook out to both halves, and `Option<O>` attaches `O` to only some
+//! runs (or some links of a fabric) without changing the observer type.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -333,6 +334,71 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     }
 }
 
+/// An optional observer: `Some(o)` forwards every hook to `o`, `None`
+/// records nothing. `ENABLED` is `O`'s, so a fabric can attach an
+/// expensive observer to a few links and leave the rest `None`.
+impl<O: Observer> Observer for Option<O> {
+    const ENABLED: bool = O::ENABLED;
+
+    fn on_arrival(&mut self, now: Time, flow: FlowId, len: u32, link: u32) {
+        if let Some(o) = self {
+            o.on_arrival(now, flow, len, link);
+        }
+    }
+    fn on_enqueue(
+        &mut self,
+        now: Time,
+        flow: FlowId,
+        len: u32,
+        flow_occ: u64,
+        total_occ: u64,
+        link: u32,
+    ) {
+        if let Some(o) = self {
+            o.on_enqueue(now, flow, len, flow_occ, total_occ, link);
+        }
+    }
+    fn on_drop(&mut self, now: Time, flow: FlowId, len: u32, reason: DropReason, link: u32) {
+        if let Some(o) = self {
+            o.on_drop(now, flow, len, reason, link);
+        }
+    }
+    fn on_departure(&mut self, now: Time, flow: FlowId, len: u32, arrival: Time, link: u32) {
+        if let Some(o) = self {
+            o.on_departure(now, flow, len, arrival, link);
+        }
+    }
+    fn on_threshold(&mut self, now: Time, flow: FlowId, occ: u64, limit: u64, up: bool, link: u32) {
+        if let Some(o) = self {
+            o.on_threshold(now, flow, occ, limit, up, link);
+        }
+    }
+    fn on_sharing(&mut self, now: Time, holes: u64, headroom: u64, link: u32) {
+        if let Some(o) = self {
+            o.on_sharing(now, holes, headroom, link);
+        }
+    }
+    fn on_feedback(
+        &mut self,
+        now: Time,
+        flow: FlowId,
+        delivered: bool,
+        len: u32,
+        delay: Dur,
+        cause: Option<DropReason>,
+        link: u32,
+    ) {
+        if let Some(o) = self {
+            o.on_feedback(now, flow, delivered, len, delay, cause, link);
+        }
+    }
+    fn on_end(&mut self, end: Time, link: u32) {
+        if let Some(o) = self {
+            o.on_end(end, link);
+        }
+    }
+}
+
 /// `&mut O` forwards to `O`, so an observer can be threaded through
 /// helper layers (e.g. the fabric runner) without moving it.
 impl<O: Observer + ?Sized> Observer for &mut O {
@@ -434,6 +500,35 @@ mod tests {
         pair.on_drop(Time::ZERO, FlowId(0), 100, DropReason::OverThreshold, 3);
         assert_eq!(pair.0.counts.total(), 2);
         assert_eq!(pair.1.counts.total(), 2);
+    }
+
+    /// Raise every hook once.
+    fn fire_every_hook<O: Observer>(o: &mut O) {
+        let t = Time::from_secs(1);
+        o.on_arrival(t, FlowId(0), 500, 2);
+        o.on_enqueue(t, FlowId(0), 500, 500, 500, 2);
+        o.on_drop(t, FlowId(1), 500, DropReason::BufferFull, 2);
+        o.on_departure(t, FlowId(0), 500, Time::ZERO, 2);
+        o.on_threshold(t, FlowId(1), 900, 800, true, 2);
+        o.on_sharing(t, 100, 200, 2);
+        o.on_feedback(t, FlowId(1), true, 500, Dur::ZERO, None, 2);
+        o.on_end(t, 2);
+    }
+
+    #[test]
+    #[allow(clippy::assertions_on_constants)]
+    fn option_forwards_when_some_and_records_nothing_when_none() {
+        assert!(<Option<CountingObserver> as Observer>::ENABLED);
+        assert!(!<Option<NullObserver> as Observer>::ENABLED);
+        let mut direct = CountingObserver::default();
+        fire_every_hook(&mut direct);
+        let mut some = Some(CountingObserver::default());
+        fire_every_hook(&mut some);
+        assert_eq!(some.map(|c| c.counts), Some(direct.counts));
+        assert_eq!(direct.counts.total(), 7);
+        let mut none: Option<CountingObserver> = None;
+        fire_every_hook(&mut none);
+        assert!(none.is_none());
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub struct Hybrid {
     core: WfqCore,
     /// `assignment[flow] = queue`.
     assignment: Vec<usize>,
-    k: usize,
 }
 
 impl Hybrid {
@@ -35,13 +34,7 @@ impl Hybrid {
         Hybrid {
             core: WfqCore::new(link_rate, queue_rates_bps),
             assignment,
-            k,
         }
-    }
-
-    /// Number of queues `k`.
-    pub fn num_queues(&self) -> usize {
-        self.k
     }
 
     /// The queue a flow maps to.

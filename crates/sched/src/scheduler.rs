@@ -3,8 +3,8 @@
 use qbm_core::flow::FlowId;
 use qbm_core::units::Time;
 
-/// Metadata the schedulers operate on. Payload bytes live in the
-/// simulator's packet arena; schedulers only ever touch this header.
+/// Metadata the schedulers operate on. The simulator carries no
+/// payload bytes, so this header is the whole packet.
 /// The `Ord` impl is lexicographic over the fields (`seq` is globally
 /// unique, so any two distinct packets compare deterministically) —
 /// needed so heap-based schedulers can key on `(deadline, seq, pkt)`.

@@ -24,6 +24,9 @@
 //! also has the lower index — holds the lower sequence number: the two
 //! contracts coincide (the differential proptests and the golden
 //! fixed-seed snapshots in `tests/determinism.rs` pin this down).
+//!
+//! Each run builds a fresh core for its flow count with
+//! [`EventCore::with_flows`]; a core is never reused across runs.
 
 use qbm_core::flow::FlowId;
 use qbm_core::units::Time;
@@ -278,24 +281,15 @@ impl IndexedTimers {
         let t = self.next_arrival[w as usize];
         (t != Time::MAX).then_some((t, w))
     }
+}
 
-    /// Build a core for `n_flows` flows on recycled backing vectors
-    /// (cleared and resized to fit; capacity reused). With empty
-    /// vectors this is exactly [`EventCore::with_flows`] — the arena
-    /// runner hands back the vectors from [`IndexedTimers::into_parts`]
-    /// so a campaign allocates one timer tree per worker, not per cell.
-    pub fn from_recycled(n_flows: usize, slots: Vec<Time>, win: Vec<u32>) -> IndexedTimers {
+impl EventCore for IndexedTimers {
+    fn with_flows(n_flows: usize) -> IndexedTimers {
         assert!(n_flows > 0, "no flows");
         let leaves = n_flows.next_power_of_two();
-        let mut next_arrival = slots;
-        next_arrival.clear();
-        next_arrival.resize(leaves, Time::MAX);
-        let mut win = win;
-        win.clear();
-        win.resize(leaves, 0);
         let mut core = IndexedTimers {
-            next_arrival,
-            win,
+            next_arrival: vec![Time::MAX; leaves],
+            win: vec![0; leaves],
             leaves,
             departure: Time::MAX,
         };
@@ -306,18 +300,6 @@ impl IndexedTimers {
             core.replay(i);
         }
         core
-    }
-
-    /// Dismantle the core into its backing vectors for recycling via
-    /// [`IndexedTimers::from_recycled`].
-    pub fn into_parts(self) -> (Vec<Time>, Vec<u32>) {
-        (self.next_arrival, self.win)
-    }
-}
-
-impl EventCore for IndexedTimers {
-    fn with_flows(n_flows: usize) -> IndexedTimers {
-        IndexedTimers::from_recycled(n_flows, Vec::new(), Vec::new())
     }
 
     #[inline]
@@ -533,24 +515,6 @@ mod tests {
         q.schedule_departure(Time::from_secs(1));
         let got = q.pop_refill(|_| panic!("refill on a departure pop"));
         assert_eq!(got, Some((Time::from_secs(1), Event::Departure)));
-    }
-
-    #[test]
-    fn recycled_core_matches_fresh_across_sizes() {
-        // Recycle 8-leaf vectors into a 3-flow core: behaviour must be
-        // identical to a fresh with_flows(3).
-        let big = IndexedTimers::with_flows(8);
-        let (slots, win) = big.into_parts();
-        let mut recycled = IndexedTimers::from_recycled(3, slots, win);
-        let mut fresh = IndexedTimers::with_flows(3);
-        for q in [&mut recycled, &mut fresh] {
-            q.schedule_arrival(FlowId(2), Time::from_secs(1));
-            q.schedule_arrival(FlowId(0), Time::from_secs(1));
-            q.schedule_departure(Time::from_secs(1));
-        }
-        for _ in 0..4 {
-            assert_eq!(recycled.pop(), fresh.pop());
-        }
     }
 
     #[test]

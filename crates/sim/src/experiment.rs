@@ -13,8 +13,13 @@
 //! back into their grid slot by index, so results are **bit-identical
 //! regardless of thread count** — `--threads 1` and `--threads 8`
 //! produce the same bytes.
+//!
+//! Every run builds its [`Router`] the same way: a campaign cell, a
+//! standalone [`ExperimentConfig::run_once`] and the two oracle runs
+//! (`run_once_reference`, `run_once_sched_reference`) all go through
+//! one private constructor. Cells share no buffers, so a cell's result
+//! cannot depend on what its worker ran before it.
 
-use crate::arena::SimArena;
 use crate::router::Router;
 use crate::stats::{SimResult, StatsCollector, StatsConfig};
 use qbm_core::flow::FlowSpec;
@@ -148,38 +153,13 @@ impl ExperimentConfig {
     /// loop (see [`qbm_obs::Observer`]). `run_once` is this with
     /// [`NullObserver`], which monomorphizes the hooks away.
     pub fn run_once_with<O: Observer>(&self, seed: u64, obs: &mut O) -> SimResult {
-        self.run_once_pooled_with(seed, obs, &mut SimArena::new())
-    }
-
-    /// [`ExperimentConfig::run_once_with`] drawing its per-flow lanes
-    /// and event core from `arena` — the campaign runner calls this so
-    /// a worker's cells share one set of buffers. The arena only
-    /// recycles allocations, never state, so results do not depend on
-    /// what ran before (the determinism suite asserts pooled campaigns
-    /// match fresh runs).
-    pub(crate) fn run_once_pooled_with<O: Observer>(
-        &self,
-        seed: u64,
-        obs: &mut O,
-        arena: &mut SimArena,
-    ) -> SimResult {
-        let policy = self
-            .policy
-            .build(self.buffer_bytes, self.link_rate, &self.specs);
         let sched = self.sched.build(self.link_rate, &self.specs);
-        let (mut lanes, timers) = arena.checkout(self.specs.len());
-        lanes.sources.extend(self.build_sources(seed));
-        let router =
-            Router::from_lanes(self.link_rate, policy, sched, lanes).with_stats(self.stats);
-        let (res, lanes, timers) = router.run_inner(
+        self.router(seed, sched).run_with(
             Time::ZERO + self.warmup,
             Time::ZERO + self.duration,
             seed,
             obs,
-            timers,
-        );
-        arena.stow(lanes, timers);
-        res
+        )
     }
 
     /// [`ExperimentConfig::run_once`] with the scheduler swapped for
@@ -211,9 +191,9 @@ impl ExperimentConfig {
         )
     }
 
-    /// A freshly allocated router for one seed over `sched`, with this
-    /// configuration's policy, sources and statistics — the oracle
-    /// runs' construction (production runs draw from an arena).
+    /// A freshly built router for one seed over `sched`, with this
+    /// configuration's policy, sources and statistics — the one
+    /// construction path of production and oracle runs alike.
     fn router(&self, seed: u64, sched: Box<dyn Scheduler>) -> Router {
         let policy = self
             .policy
@@ -334,32 +314,26 @@ impl<'a> Campaign<'a> {
 
         let mut slots: Vec<Option<(SimResult, O)>> = (0..cells).map(|_| None).collect();
         if workers <= 1 {
-            // One arena for the whole grid: every cell reuses the same
-            // lane/event-core buffers.
-            let mut arena = SimArena::new();
             for (idx, slot) in slots.iter_mut().enumerate() {
                 let mut obs = make(idx);
-                let res = self.run_cell_with(idx, &mut obs, &mut arena);
+                let res = self.run_cell_with(idx, &mut obs);
                 *slot = Some((res, obs));
             }
         } else {
             // Shard by index stride; each worker returns (index, result)
             // pairs that are scattered back into the grid, so neither
-            // scheduling nor completion order can reorder results. Each
-            // worker owns one arena — buffers are recycled across its
-            // cells but never shared across threads.
+            // scheduling nor completion order can reorder results.
             let buckets: Vec<Vec<(usize, (SimResult, O))>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
                         let me: &Campaign<'a> = self;
                         let make = &make;
                         scope.spawn(move || {
-                            let mut arena = SimArena::new();
                             (w..cells)
                                 .step_by(workers)
                                 .map(|idx| {
                                     let mut obs = make(idx);
-                                    let res = me.run_cell_with(idx, &mut obs, &mut arena);
+                                    let res = me.run_cell_with(idx, &mut obs);
                                     (idx, (res, obs))
                                 })
                                 .collect()
@@ -410,15 +384,10 @@ impl<'a> Campaign<'a> {
             .collect()
     }
 
-    fn run_cell_with<O: Observer>(
-        &self,
-        idx: usize,
-        obs: &mut O,
-        arena: &mut SimArena,
-    ) -> SimResult {
+    fn run_cell_with<O: Observer>(&self, idx: usize, obs: &mut O) -> SimResult {
         let point = idx / self.replications;
         let replication = idx % self.replications;
-        self.points[point].run_once_pooled_with(self.cell_seed(point, replication), obs, arena)
+        self.points[point].run_once_with(self.cell_seed(point, replication), obs)
     }
 
     fn worker_count(&self, cells: usize) -> usize {

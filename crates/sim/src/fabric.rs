@@ -41,7 +41,6 @@
 //! [`TraceSource`](qbm_traffic::TraceSource)), swapped wholesale at
 //! each exchange.
 
-use crate::event::{EventCore, IndexedTimers};
 use crate::router::{FeedbackMode, LinkEngine, Router};
 use crate::stats::{SimResult, PER_FLOW_SKETCH_LIMIT};
 use qbm_core::flow::FlowId;
@@ -338,10 +337,7 @@ impl Fabric {
             .iter()
             .map(|&link| {
                 let router = routers[link].take().expect("each link wrapped once");
-                let flows = router.n_flows();
-                let traces = records[link].then(Vec::new);
-                let events = IndexedTimers::with_flows(flows);
-                LinkEngine::new(router, warmup, end, seed, traces, events, link as u32)
+                LinkEngine::new(router, warmup, end, seed, records[link], link as u32)
             })
             .collect();
         for &(l, f, mode) in &mode_overrides {
@@ -405,8 +401,7 @@ impl Fabric {
         // Close the runs and un-permute into link-index order.
         let mut results: Vec<Option<SimResult>> = (0..n).map(|_| None).collect();
         for ((pos, engine), o) in engines.into_iter().enumerate().zip(obs) {
-            let (res, _lanes, _events) = engine.finish(o);
-            results[order[pos]] = Some(res);
+            results[order[pos]] = Some(engine.finish(o));
         }
         results
             .into_iter()

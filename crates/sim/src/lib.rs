@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod arena;
 pub mod event;
 pub mod experiment;
 pub mod fabric;

@@ -20,15 +20,23 @@
 //! [`SchedKind::build`] return), while sources sit in the closed
 //! [`SourceKind`] enum (inlined dispatch, no vtable).
 //!
+//! Every run builds its state the same way: [`Router::new`] allocates
+//! the per-flow lanes, and `LinkEngine::new` the statistics collector,
+//! the event core (`EventCore::with_flows`) and, on fabric links that
+//! feed a downstream hop, the departure recording buffers. Nothing is
+//! pooled or recycled between runs.
+//!
 //! The loop is written to be allocation-free per event: per-flow state
 //! lives in the SoA `FlowLanes` arrays and events come from the
 //! [`IndexedTimers`] tournament tree — the reference
 //! [`EventQueue`](crate::event::EventQueue) heap remains available via
-//! [`Router::run_reference`] for differential testing. The
-//! `hot-path-alloc` qbm-lint rule enforces the no-allocation property
-//! on `LinkEngine::advance`/`start_transmission` going forward.
+//! [`ExperimentConfig::run_once_reference`] for differential testing.
+//! The `hot-path-alloc` qbm-lint rule enforces the no-allocation
+//! property on `LinkEngine::advance`/`start_transmission` going
+//! forward.
 //!
 //! [`PolicySpec::build`]: crate::PolicySpec::build
+//! [`ExperimentConfig::run_once_reference`]: crate::ExperimentConfig::run_once_reference
 //! [`SchedKind::build`]: qbm_sched::SchedKind::build
 
 use crate::event::{Event, EventCore, IndexedTimers};
@@ -78,18 +86,18 @@ pub(crate) struct FbEvent {
 /// optional meter/observer lanes only when enabled — keeping each
 /// array dense and contiguous instead of scattering the fields across
 /// one large per-flow record.
-pub(crate) struct FlowLanes {
+struct FlowLanes {
     /// `sources[i]` feeds `FlowId(i)` (enum-dispatched, inlined).
-    pub(crate) sources: Vec<SourceKind>,
+    sources: Vec<SourceKind>,
     /// Length of flow `i`'s pending (scheduled but not yet arrived)
     /// emission; the router's pull discipline keeps at most one.
-    pub(crate) pending: Vec<Option<u32>>,
+    pending: Vec<Option<u32>>,
     /// Optional `(σ, ρ)` conformance meters (Remark 1 green/red
     /// marking). Meters observe only — they never influence admission.
-    pub(crate) meters: Option<Vec<TokenBucket>>,
+    meters: Option<Vec<TokenBucket>>,
     /// Observer state: per-flow over-threshold regime (hysteresis —
     /// see DESIGN.md §9). Only read/written when `O::ENABLED`.
-    pub(crate) over: Vec<bool>,
+    over: Vec<bool>,
 }
 
 /// A single-output-link router under simulation.
@@ -124,35 +132,19 @@ impl Router {
         scheduler: Box<dyn Scheduler>,
         sources: Vec<K>,
     ) -> Router {
-        let n = sources.len();
-        let lanes = FlowLanes {
-            sources: sources.into_iter().map(Into::into).collect(),
-            pending: vec![None; n],
-            meters: None,
-            over: vec![false; n],
-        };
-        Router::from_lanes(link_rate, policy, scheduler, lanes)
-    }
-
-    /// Assemble a router around pre-built [`FlowLanes`] — the pooled
-    /// entry point: a [`crate::arena::SimArena`] hands back recycled
-    /// lane vectors so a campaign cell starts without reallocating
-    /// them.
-    pub(crate) fn from_lanes(
-        link_rate: Rate,
-        policy: Box<dyn BufferPolicy>,
-        scheduler: Box<dyn Scheduler>,
-        lanes: FlowLanes,
-    ) -> Router {
         assert!(link_rate.bps() > 0, "zero link rate");
-        assert!(!lanes.sources.is_empty(), "no sources");
-        debug_assert_eq!(lanes.pending.len(), lanes.sources.len());
-        debug_assert_eq!(lanes.over.len(), lanes.sources.len());
+        assert!(!sources.is_empty(), "no sources");
+        let n = sources.len();
         Router {
             link_rate,
             policy,
             scheduler,
-            lanes,
+            lanes: FlowLanes {
+                sources: sources.into_iter().map(Into::into).collect(),
+                pending: vec![None; n],
+                meters: None,
+                over: vec![false; n],
+            },
             stats_cfg: StatsConfig::default(),
         }
     }
@@ -192,10 +184,8 @@ impl Router {
     /// binary heap instead of the [`IndexedTimers`] production core.
     /// Exists for differential testing: the two cores must produce
     /// byte-identical statistics.
-    pub fn run_reference(self, warmup: Time, end: Time, seed: u64) -> SimResult {
-        let events = crate::event::EventQueue::with_flows(self.lanes.sources.len());
-        self.run_inner(warmup, end, seed, &mut NullObserver, events)
-            .0
+    pub(crate) fn run_reference(self, warmup: Time, end: Time, seed: u64) -> SimResult {
+        self.run_inner::<_, crate::event::EventQueue>(warmup, end, seed, &mut NullObserver)
     }
 
     /// Like [`Router::run`], with every event-loop hook fanned out to
@@ -209,14 +199,11 @@ impl Router {
         seed: u64,
         obs: &mut O,
     ) -> SimResult {
-        let events = IndexedTimers::with_flows(self.lanes.sources.len());
-        self.run_inner(warmup, end, seed, obs, events).0
+        self.run_inner::<_, IndexedTimers>(warmup, end, seed, obs)
     }
 
-    /// The event loop, generic over observer and event core. Returns
-    /// the statistics and the spent lanes and event core, whose
-    /// allocations a campaign's [`crate::arena::SimArena`] recycles.
-    /// The caller supplies `events` sized for `sources.len()` flows.
+    /// The event loop, generic over observer and event core `E`, which
+    /// the engine builds for this router's flows.
     ///
     /// The loop itself lives in [`LinkEngine`]: a single-link run is
     /// one engine primed and advanced to `end` in a single epoch, while
@@ -229,9 +216,8 @@ impl Router {
         end: Time,
         seed: u64,
         obs: &mut O,
-        events: E,
-    ) -> (SimResult, FlowLanes, E) {
-        let mut engine = LinkEngine::new(self, warmup, end, seed, None, events, 0);
+    ) -> SimResult {
+        let mut engine: LinkEngine<E> = LinkEngine::new(self, warmup, end, seed, false, 0);
         engine.prime(obs);
         engine.advance(end, obs);
         engine.finish(obs)
@@ -288,36 +274,31 @@ pub(crate) struct LinkEngine<E: EventCore = IndexedTimers> {
 }
 
 impl<E: EventCore> LinkEngine<E> {
-    /// Wrap a router into a paused engine measuring `[warmup, end)`.
-    /// `traces: Some(buffers)` enables departure recording (buffers are
-    /// resized/cleared to fit, capacity reused).
+    /// Wrap a router into a paused engine measuring `[warmup, end)`,
+    /// with a fresh event core for its flows. `record` enables
+    /// departure recording (a fabric link that feeds a downstream hop).
     pub(crate) fn new(
         router: Router,
         warmup: Time,
         end: Time,
         seed: u64,
-        mut traces: Option<Vec<Vec<Emission>>>,
-        events: E,
+        record: bool,
         link: u32,
     ) -> LinkEngine<E> {
         let n = router.lanes.sources.len();
-        if let Some(bufs) = traces.as_mut() {
-            bufs.resize_with(n, Vec::new);
-            // Pre-size fresh buffers for the expected departure count:
-            // an even split of the link's packet capacity over the run
-            // (recycled buffers already carry their capacity).
+        let traces = record.then(|| {
+            // Pre-size each flow's buffer for the expected departure
+            // count: an even split of the link's packet capacity over
+            // the run.
             let est = (end.0 as u128 * router.link_rate.bps() as u128
                 / (qbm_traffic::PACKET_BYTES as u128 * 8 * 1_000_000_000))
                 as usize
                 / n
                 + 64;
-            for b in bufs.iter_mut() {
-                b.clear();
-                if b.capacity() == 0 {
-                    b.reserve(est);
-                }
-            }
-        }
+            let mut bufs = Vec::with_capacity(n);
+            bufs.resize_with(n, || Vec::with_capacity(est));
+            bufs
+        });
         // A source that reacts to feedback gets the full local loop by
         // default (drops *and* deliveries signalled on this link); the
         // fabric rewires multi-hop flows after construction.
@@ -347,7 +328,7 @@ impl<E: EventCore> LinkEngine<E> {
             prev_sharing: None,
             fb_modes,
             fb_out: None,
-            events,
+            events: E::with_flows(n),
             end,
             link,
         }
@@ -480,48 +461,10 @@ impl<E: EventCore> LinkEngine<E> {
                             // The loss leg of the signal path: tell the
                             // owning source (or buffer for the fabric)
                             // why admission refused its packet.
-                            match self.fb_modes[flow.index()] {
-                                FeedbackMode::Off => {}
-                                FeedbackMode::Local { .. } => {
-                                    if O::ENABLED {
-                                        obs.on_feedback(
-                                            now,
-                                            flow,
-                                            false,
-                                            len,
-                                            Dur::ZERO,
-                                            Some(reason),
-                                            self.link,
-                                        );
-                                    }
-                                    self.apply_feedback(
-                                        flow,
-                                        now,
-                                        Feedback::Lost { cause: reason },
-                                    );
-                                }
-                                FeedbackMode::Remote { .. } => {
-                                    if O::ENABLED {
-                                        obs.on_feedback(
-                                            now,
-                                            flow,
-                                            false,
-                                            len,
-                                            Dur::ZERO,
-                                            Some(reason),
-                                            self.link,
-                                        );
-                                    }
-                                    match self.fb_out.as_mut() {
-                                        Some(buf) => buf.push(FbEvent {
-                                            flow,
-                                            fb: Feedback::Lost { cause: reason },
-                                        }),
-                                        None => {
-                                            debug_assert!(false, "remote feedback, no buffer")
-                                        }
-                                    }
-                                }
+                            let mode = self.fb_modes[flow.index()];
+                            if mode != FeedbackMode::Off {
+                                let fb = Feedback::Lost { cause: reason };
+                                self.signal(mode, flow, now, len, fb, obs);
                             }
                             if O::ENABLED {
                                 obs.on_drop(now, flow, len, reason, self.link);
@@ -605,48 +548,15 @@ impl<E: EventCore> LinkEngine<E> {
                     // flow: only the link that terminates the path
                     // reports `Delivered` (an upstream hop's departure
                     // is just a relay).
-                    match self.fb_modes[pkt.flow.index()] {
-                        FeedbackMode::Off => {}
-                        FeedbackMode::Local { delivered } => {
-                            if delivered {
-                                let delay = now.since(pkt.arrival);
-                                if O::ENABLED {
-                                    obs.on_feedback(
-                                        now, pkt.flow, true, pkt.len, delay, None, self.link,
-                                    );
-                                }
-                                self.apply_feedback(
-                                    pkt.flow,
-                                    now,
-                                    Feedback::Delivered {
-                                        bytes: pkt.len,
-                                        delay,
-                                    },
-                                );
-                            }
-                        }
-                        FeedbackMode::Remote { delivered } => {
-                            if delivered {
-                                let delay = now.since(pkt.arrival);
-                                if O::ENABLED {
-                                    obs.on_feedback(
-                                        now, pkt.flow, true, pkt.len, delay, None, self.link,
-                                    );
-                                }
-                                match self.fb_out.as_mut() {
-                                    Some(buf) => buf.push(FbEvent {
-                                        flow: pkt.flow,
-                                        fb: Feedback::Delivered {
-                                            bytes: pkt.len,
-                                            delay,
-                                        },
-                                    }),
-                                    None => {
-                                        debug_assert!(false, "remote feedback, no buffer")
-                                    }
-                                }
-                            }
-                        }
+                    let mode = self.fb_modes[pkt.flow.index()];
+                    if let FeedbackMode::Local { delivered: true }
+                    | FeedbackMode::Remote { delivered: true } = mode
+                    {
+                        let fb = Feedback::Delivered {
+                            bytes: pkt.len,
+                            delay: now.since(pkt.arrival),
+                        };
+                        self.signal(mode, pkt.flow, now, pkt.len, fb, obs);
                     }
                     if !self.scheduler.is_empty() {
                         self.start_transmission(now);
@@ -714,6 +624,37 @@ impl<E: EventCore> LinkEngine<E> {
         }
     }
 
+    /// One feedback signal about a `len`-byte packet of `flow`, shared
+    /// by the loss and delivery legs: report it to the observer, then
+    /// apply it in place (`Local`) or buffer it for the fabric's
+    /// end-of-epoch drain (`Remote`). Never called with `Off`.
+    #[inline]
+    fn signal<O: Observer>(
+        &mut self,
+        mode: FeedbackMode,
+        flow: FlowId,
+        now: Time,
+        len: u32,
+        fb: Feedback,
+        obs: &mut O,
+    ) {
+        if O::ENABLED {
+            let (delivered, delay, cause) = match fb {
+                Feedback::Delivered { delay, .. } => (true, delay, None),
+                Feedback::Lost { cause } => (false, Dur::ZERO, Some(cause)),
+            };
+            obs.on_feedback(now, flow, delivered, len, delay, cause, self.link);
+        }
+        if let FeedbackMode::Remote { .. } = mode {
+            match self.fb_out.as_mut() {
+                Some(buf) => buf.push(FbEvent { flow, fb }),
+                None => debug_assert!(false, "remote feedback, no buffer"),
+            }
+        } else {
+            self.apply_feedback(flow, now, fb);
+        }
+    }
+
     /// Override flow `flow`'s feedback routing — fabric wiring for
     /// multi-hop closed-loop paths (cold, construction time).
     pub(crate) fn set_feedback_mode(&mut self, flow: FlowId, mode: FeedbackMode) {
@@ -746,9 +687,8 @@ impl<E: EventCore> LinkEngine<E> {
         &mut self.traces.as_mut().expect("link does not record")[flow]
     }
 
-    /// Close the run: final observer flush, statistics reduction, and
-    /// the spent lanes and event core for arena recycling.
-    pub(crate) fn finish<O: Observer>(self, obs: &mut O) -> (SimResult, FlowLanes, E) {
+    /// Close the run: final observer flush and statistics reduction.
+    pub(crate) fn finish<O: Observer>(self, obs: &mut O) -> SimResult {
         if O::ENABLED {
             obs.on_end(self.end, self.link);
         }
@@ -766,7 +706,7 @@ impl<E: EventCore> LinkEngine<E> {
         if !aimd.is_empty() {
             result.aimd = Some(aimd);
         }
-        (result, self.lanes, self.events)
+        result
     }
 
     fn start_transmission(&mut self, now: Time) {

@@ -74,20 +74,6 @@ impl Source for SourceKind {
 }
 
 impl SourceKind {
-    /// Recover a [`SourceKind::Trace`]'s backing buffer, cleared but
-    /// with its capacity intact, so a spent replay buffer can be reused
-    /// without reallocating. `None` for every other variant.
-    pub fn into_trace_buffer(self) -> Option<Vec<Emission>> {
-        match self {
-            SourceKind::Trace(t) => {
-                let mut buf = t.into_inner();
-                buf.clear();
-                Some(buf)
-            }
-            _ => None,
-        }
-    }
-
     /// Borrow the AIMD state for stats harvest, if this is an
     /// [`SourceKind::Aimd`] flow.
     pub fn as_aimd(&self) -> Option<&AimdSource> {
@@ -145,32 +131,5 @@ impl std::fmt::Debug for SourceKind {
             SourceKind::Aimd(_) => "Aimd",
         };
         f.debug_tuple(name).finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use qbm_core::units::{Rate, Time};
-
-    #[test]
-    fn trace_buffer_round_trip_keeps_capacity() {
-        let mut buf = Vec::with_capacity(64);
-        buf.push(Emission {
-            time: Time::ZERO,
-            len: 500,
-        });
-        let cap = buf.capacity();
-        let mut kind: SourceKind = TraceSource::new(buf).into();
-        assert!(kind.next_emission().is_some());
-        let recovered = kind.into_trace_buffer().expect("trace variant");
-        assert!(recovered.is_empty());
-        assert_eq!(recovered.capacity(), cap);
-    }
-
-    #[test]
-    fn non_trace_variants_yield_no_buffer() {
-        let kind: SourceKind = CbrSource::new(Rate::from_mbps(2.0), 500, Time::ZERO).into();
-        assert!(kind.into_trace_buffer().is_none());
     }
 }

@@ -40,13 +40,6 @@ impl TraceSource {
         self.trace.len() - self.pos
     }
 
-    /// Consume the source and return its backing buffer (replayed and
-    /// pending emissions alike), so a spent trace's allocation can be
-    /// recycled — see `SourceKind::into_trace_buffer`.
-    pub fn into_inner(self) -> Vec<Emission> {
-        self.trace
-    }
-
     /// Replace this source's contents with `batch`, leaving the spent
     /// backing buffer *in* `batch` (cleared) for the caller to refill —
     /// the fabric's mailbox handoff: two buffers per relay edge

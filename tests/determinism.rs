@@ -357,13 +357,13 @@ fn fixed_point_schedulers_match_float_references_end_to_end() {
 
 #[test]
 fn pooled_campaign_with_mixed_flow_counts_is_thread_count_invariant() {
-    // Arena acceptance: campaign workers recycle lane/event-core
-    // buffers across cells, including across *different flow counts*
-    // (the arena must resize, not assume a fixed width). A grid mixing
-    // the 9-flow Table-1 and 30-flow Table-2 workloads must produce
-    // byte-identical per-cell results at 1 worker (one arena reused by
-    // every cell) and 8 workers (one arena each), and both must match
-    // the non-pooled `run_once` path.
+    // A worker runs cells of *different flow counts* back to back (the
+    // name predates the removal of the per-worker buffer pool; cells
+    // now build fresh state, so nothing carries over between them). A
+    // grid mixing the 9-flow Table-1 and 30-flow Table-2 workloads
+    // must produce byte-identical per-cell results at 1 worker (every
+    // cell in sequence) and 8 workers, and both must match a
+    // standalone `run_once` of each cell.
     let mut t2 = cfg(SchedKind::Wfq, PolicySpec::Kind(PolicyKind::Threshold));
     t2.specs = table2();
     t2.duration = Dur::from_secs(3);
